@@ -1,9 +1,9 @@
-"""Benchmark the compiled permutation kernel against the numpy fallback.
+"""Benchmark the numpy permutation kernel.
 
 Times the primitive operations (compose, inverse, chain sifting) and two
 end-to-end workloads (building the level-8 quotient chain; certifying the
 rank of the P_5 catalog subgroup).  The end-to-end runs import grig in a
-subprocess so the kernel choice and all module caches are fresh.
+subprocess so all module caches are fresh.
 
 Usage: python benchmarks/bench_kernels.py
 """
@@ -15,12 +15,7 @@ import timeit
 
 import numpy as np
 
-from grig import _kernel_py
-
-try:
-    from grig import _speedups
-except ImportError:
-    _speedups = None
+from grig import _kernel
 
 END_TO_END = r"""
 import time
@@ -62,31 +57,24 @@ def bench_primitives(module, degree, repeats=2000):
     return t_compose, t_inverse
 
 
-def bench_strip(module, level=8, inserts=200):
+def bench_strip(level=8, inserts=200):
     from grig.permgroup import PivotChain, level_quotient
-    import grig.permgroup as pg
-    saved = (pg.compose, pg.inverse, pg.strip)
-    pg.compose, pg.inverse, pg.strip = (module.compose, module.inverse,
-                                        module.strip)
-    try:
-        rng = np.random.default_rng(11)
-        gens = [g.images for g in level_quotient(level).generators]
-        chain = PivotChain(level)
-        words = []
-        for _ in range(inserts):
-            w = np.arange(1 << level, dtype=np.int32)
-            for _ in range(12):
-                w = module.compose(w, gens[rng.integers(len(gens))])
-            words.append(w)
-        t0 = time.time()
-        for w in words:
-            chain.insert(w)
-        build = time.time() - t0
-        t_member = timeit.timeit(
-            lambda: chain.contains(words[50]), number=200) / 200
-        return build, t_member
-    finally:
-        pg.compose, pg.inverse, pg.strip = saved
+    rng = np.random.default_rng(11)
+    gens = [g.images for g in level_quotient(level).generators]
+    chain = PivotChain(level)
+    words = []
+    for _ in range(inserts):
+        w = np.arange(1 << level, dtype=np.int32)
+        for _ in range(12):
+            w = _kernel.compose(w, gens[rng.integers(len(gens))])
+        words.append(w)
+    t0 = time.time()
+    for w in words:
+        chain.insert(w)
+    build = time.time() - t0
+    t_member = timeit.timeit(
+        lambda: chain.contains(words[50]), number=200) / 200
+    return build, t_member
 
 
 def fmt(seconds):
@@ -96,39 +84,25 @@ def fmt(seconds):
 
 
 def main():
-    degree = 256
-    print(f"primitives at degree {degree}:")
-    rows = [("python", _kernel_py)]
-    if _speedups is not None:
-        rows.append(("c", _speedups))
-    results = {}
-    for name, module in rows:
-        tc, ti = bench_primitives(module, degree)
-        results[name] = tc
-        print(f"  {name:7s} compose {fmt(tc)}   inverse {fmt(ti)}")
-    if len(results) == 2:
-        print(f"  speedup {results['python'] / results['c']:.1f}x")
+    print(f"kernel backend: {_kernel.BACKEND}")
+    for degree in (256, 2048):
+        tc, ti = bench_primitives(_kernel, degree)
+        print(f"  degree {degree:4d}  compose {fmt(tc)}   inverse {fmt(ti)}")
 
     print("chain insert + membership (level 8, 200 random elements):")
-    for name, module in rows:
-        build, member = bench_strip(module)
-        print(f"  {name:7s} build {fmt(build)}   sift {fmt(member)}")
+    build, member = bench_strip()
+    print(f"  build {fmt(build)}   sift {fmt(member)}")
 
     print("end to end (fresh interpreter): level-8 quotient order, "
           "then rank witness for P5")
-    for env_extra in ({"GRIG_PURE_PYTHON": "1"}, {}):
-        import os
-        env = dict(os.environ)
-        env.pop("GRIG_PURE_PYTHON", None)
-        env.update(env_extra)
-        out = subprocess.run([sys.executable, "-c", END_TO_END],
-                             capture_output=True, text=True, env=env)
-        if out.returncode:
-            print(out.stderr, file=sys.stderr)
-            return 1
-        backend, t_orders, t_rank = out.stdout.split()
-        print(f"  {backend:7s} quotient {float(t_orders):7.3f} s   "
-              f"rank {float(t_rank):7.3f} s")
+    out = subprocess.run([sys.executable, "-c", END_TO_END],
+                         capture_output=True, text=True)
+    if out.returncode:
+        print(out.stderr, file=sys.stderr)
+        return 1
+    backend, t_orders, t_rank = out.stdout.split()
+    print(f"  {backend:7s} quotient {float(t_orders):7.3f} s   "
+          f"rank {float(t_rank):7.3f} s")
     return 0
 
 

@@ -1,17 +1,54 @@
-"""Kernel selection: compiled extension if built, numpy fallback otherwise.
+"""Permutation kernel: the numpy primitives behind every stabilizer chain.
 
-Set GRIG_PURE_PYTHON=1 to force the fallback (used by the benchmark and for
-debugging).
+Permutations are int32 arrays mapping leaf index -> leaf index,
+compose(a, b)[x] = a[b[x]] (b acts first), and strip() sifts a permutation
+through a sibling-pair stabilizer chain (see grig.permgroup for the chain
+layout).
 """
 
-import os
+import numpy as np
 
-if os.environ.get("GRIG_PURE_PYTHON"):
-    from grig._kernel_py import BACKEND, compose, inverse, strip
-else:
-    try:
-        from grig._speedups import BACKEND, compose, inverse, strip
-    except ImportError:  # extension not built on this install
-        from grig._kernel_py import BACKEND, compose, inverse, strip
+BACKEND = "python"
 
 __all__ = ["BACKEND", "compose", "inverse", "strip"]
+
+
+def compose(a, b, out=None):
+    if out is None:
+        return a[b]
+    np.take(a, b, out=out)
+    return out
+
+
+def inverse(a, out=None):
+    if out is None:
+        out = np.empty_like(a)
+    out[a] = np.arange(len(a), dtype=a.dtype)
+    return out
+
+
+def strip(g, slot_leaf, slot_shift, slot_value, pivot_row, pinv, start):
+    """Sift ``g`` (modified in place) through the chain from slot ``start``.
+
+    Returns the first slot >= start at which ``g`` moves the slot vertex and
+    no pivot is available, or len(slot_leaf) if ``g`` stripped through every
+    slot (in which case g is the identity: fixing every left sibling fixes
+    the whole tree).  Raises ValueError if ``g`` maps some block outside its
+    sibling pair, which cannot happen for tree automorphisms.
+    """
+    nslots = len(slot_leaf)
+    s = start
+    while s < nslots:
+        imgs = g[slot_leaf[s:]] >> slot_shift[s:]
+        moved = np.nonzero(imgs != slot_value[s:])[0]
+        if len(moved) == 0:
+            return nslots
+        s += int(moved[0])
+        if g[slot_leaf[s]] >> slot_shift[s] != slot_value[s] + 1:
+            raise ValueError("permutation is not block-structured")
+        row = pivot_row[s]
+        if row < 0:
+            return s
+        g[:] = pinv[row][g]
+        s += 1
+    return nslots

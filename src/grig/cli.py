@@ -41,7 +41,8 @@ def _apply_config(path):
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if "max_level" in values:
-        config.set_max_level(int(values["max_level"]))
+        config.set_max_level(config.parse_level_limit(
+            values["max_level"], "config key max_level"))
 
 
 def _parse(expr):

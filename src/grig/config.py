@@ -18,12 +18,25 @@ class LevelLimitError(ValueError):
     pass
 
 
+def parse_level_limit(value, source):
+    """A level limit read from ``source`` (named in the error): an integer
+    of at least 1."""
+    try:
+        limit = int(value)
+    except ValueError:
+        raise LevelLimitError(
+            f"{source} must be an integer, got {value!r}") from None
+    if limit < 1:
+        raise LevelLimitError(f"{source} must be at least 1, got {limit}")
+    return limit
+
+
 def max_level():
     if _override is not None:
         return _override
     env = os.environ.get("GRIG_MAX_LEVEL")
     if env:
-        return int(env)
+        return parse_level_limit(env, "GRIG_MAX_LEVEL")
     return DEFAULT_MAX_LEVEL
 
 

@@ -337,9 +337,6 @@ class PermGroup:
             raise DegreeMismatch("degree mismatch")
         return all(self.contains(g) for g in other.generators)
 
-    def equals_group(self, other):
-        return self.order == other.order and self.contains_group(other)
-
     def is_trivial(self):
         return not self.generators or self.order == 1
 
@@ -377,10 +374,6 @@ def build_chain_and_order(group):
 
 def subgroup(level, generators):
     return PermGroup(level, generators)
-
-
-def trivial_group(level):
-    return PermGroup(level, [])
 
 
 # --- images of elements ------------------------------------------------------
@@ -555,17 +548,6 @@ def block_pair(p0, p1):
         raise DegreeMismatch("components must have equal degree")
     return Permutation._wrap(
         np.concatenate([p0.images, p1.images + p0.degree]))
-
-
-def first_level_sections(perm):
-    """(swap, left section, right section) of a tree permutation."""
-    half = perm.degree // 2
-    swap = bool(perm.images[0] >= half)
-    s0 = perm.images[:half] - (half if swap else 0)
-    s1 = perm.images[half:] - (0 if swap else half)
-    return (swap,
-            Permutation._wrap(np.ascontiguousarray(s0, dtype=_DTYPE)),
-            Permutation._wrap(np.ascontiguousarray(s1, dtype=_DTYPE)))
 
 
 def nested_copies_group(sub, n, level):

@@ -7,7 +7,7 @@ quotient, which can only grow with the level) and an upper bound (the length
 of H's generator list).  When they meet, the rank is exact.
 
 Gradient rows are exact rationals (d - 1) / index; logs are base-2 doubles
-used only in the rigidity ratios, compared with a documented tolerance.
+used only in the rigidity ratios, which never feed back into an exact value.
 The vertex-stabilizer chain P_n has index 2^n and rank n + 4 for n >= 2, so
 its rows are (n + 3) / 2^n.
 """
@@ -26,8 +26,6 @@ from grig.catalog import VerificationReport
 from grig.config import max_level
 from grig.elements import Word
 from grig.pgroup import Lcg, frattini_rank, random_subgroup
-
-RATIO_TOLERANCE = 1e-12
 
 STABILIZER_RANK_DEPTH = 3  # st-chain ranks probed this many levels down
 
@@ -371,6 +369,8 @@ def conjecture_probe(level, samples, seed):
     and are flagged as uncertified."""
     if not 3 <= level <= 6:
         raise ValueError("probe levels 3..6 are supported")
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     q = permgroup.level_quotient(level)
     rng = Lcg(seed)
     rows = []
@@ -399,18 +399,23 @@ def _fmt(x):
     return str(x)
 
 
+def _cells(row):
+    """The CSV_HEADER columns of a row, formatted for CSV and Markdown."""
+    return [
+        _fmt(row.n), _fmt(row.d), _fmt(row.index), _fmt(row.rg.numerator),
+        _fmt(row.rg.denominator),
+        _fmt(row.log2_d if row.d >= 1 else None),
+        _fmt(row.loglog2_index if row.index >= 2 else None),
+        _fmt(row.ratio), _fmt(row.certified),
+    ]
+
+
 def rows_to_csv(rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in rows:
-        writer.writerow([
-            _fmt(r.n), _fmt(r.d), _fmt(r.index), _fmt(r.rg.numerator),
-            _fmt(r.rg.denominator),
-            _fmt(r.log2_d if r.d >= 1 else None),
-            _fmt(r.loglog2_index if r.index >= 2 else None),
-            _fmt(r.ratio), _fmt(r.certified),
-        ])
+        writer.writerow(_cells(r))
     return buf.getvalue()
 
 
@@ -422,10 +427,5 @@ def rows_to_markdown(rows):
     lines = ["| " + " | ".join(CSV_HEADER) + " |",
              "|" + "---|" * len(CSV_HEADER)]
     for r in rows:
-        lines.append("| " + " | ".join([
-            _fmt(r.n), _fmt(r.d), _fmt(r.index), _fmt(r.rg.numerator),
-            _fmt(r.rg.denominator),
-            _fmt(r.log2_d if r.d >= 1 else None),
-            _fmt(r.loglog2_index if r.index >= 2 else None),
-            _fmt(r.ratio), _fmt(r.certified)]) + " |")
+        lines.append("| " + " | ".join(_cells(r)) + " |")
     return "\n".join(lines) + "\n"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from grig import catalog, permgroup, rigidity
 from grig.catalog import VerificationReport
-from grig.config import raised_level
+from grig.config import raised_level, require_level
 from grig.pgroup import (Lcg, frattini_rank, lower_central_series,
                          random_subgroup)
 
@@ -35,6 +35,7 @@ def orders_suite(n_max=8):
     """Chain orders of the level quotients against the closed form
     2^(5 * 2^(n-3) + 2) for n >= 3 (2 and 8 at n = 1, 2), with a
     brute-force enumeration cross-check where it is feasible."""
+    require_level(n_max)
     report = VerificationReport("orders")
     for n in range(1, n_max + 1):
         q = permgroup.level_quotient(n)
@@ -134,6 +135,7 @@ SUITES = {
 
 def run_suite(name, **args):
     if name == "all":
+        require_level(args.get("level", 8))  # before any suite starts work
         report = VerificationReport("all")
         for key in SUITES:
             report.extend(SUITES[key](args))

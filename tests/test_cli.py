@@ -147,3 +147,34 @@ def test_verify_all_exits_zero():
     assert code == 0
     payload = json.loads(out)
     assert payload["pass"] is True and payload["checks"] > 200
+
+
+def test_probe_negative_samples_exit_2(capsys):
+    assert main(["probe", "--level", "3", "--samples", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "samples" in captured.err
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_level_limit_names_its_source(value, monkeypatch, capsys,
+                                          tmp_path):
+    monkeypatch.setenv("GRIG_MAX_LEVEL", value)
+    assert main(["quotient", "--level", "2"]) == 2
+    assert "GRIG_MAX_LEVEL" in capsys.readouterr().err
+    monkeypatch.delenv("GRIG_MAX_LEVEL")
+    cfg = tmp_path / "grig.cfg"
+    cfg.write_text(f"max_level = {value}\n", encoding="utf-8")
+    from grig import config
+    try:
+        assert main(["--config", str(cfg), "quotient", "--level", "2"]) == 2
+        assert "max_level" in capsys.readouterr().err
+    finally:
+        config.set_max_level(None)
+
+
+def test_verify_level_guard_exit_2(capsys):
+    for suite in ("orders", "all"):
+        assert main(["verify", suite, "--level", "12"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "level 12" in captured.err

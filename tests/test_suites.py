@@ -44,3 +44,18 @@ def test_run_suite_dispatch():
 def test_branching_suite_level4():
     report = suites.branching_suite(levels=(4,))
     assert report.all_pass
+
+
+def test_level_guard_fires_before_any_work(monkeypatch):
+    from grig import catalog, config, permgroup
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the level guard")
+
+    monkeypatch.setattr(permgroup, "level_quotient", no_work)
+    monkeypatch.setattr(catalog, "verify_conjugation_tables", no_work)
+    for name in ("orders", "all"):
+        with pytest.raises(config.LevelLimitError):
+            suites.run_suite(name, level=12)
+    with pytest.raises(config.LevelLimitError):
+        suites.orders_suite(12)
