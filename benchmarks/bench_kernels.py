@@ -1,33 +1,14 @@
-"""Benchmark the numpy permutation kernel.
+"""Timing helpers for the numpy permutation kernel.
 
-Times the primitive operations (compose, inverse, chain sifting) and two
-end-to-end workloads (building the level-8 quotient chain; certifying the
-rank of the P_5 catalog subgroup).  The end-to-end runs import grig in a
-subprocess so all module caches are fresh.
-
-Usage: python benchmarks/bench_kernels.py
+``bench_primitives`` times compose and inverse on random tree permutations;
+``perfbench/worker.py`` reports its figures as the ``kernel.compose_us`` and
+``kernel.inverse_us`` metrics.  End-to-end timings (quotient builds, the
+rank-gradient table) are measured by ``perfbench/run.py``.
 """
 
-import subprocess
-import sys
-import time
 import timeit
 
 import numpy as np
-
-from grig import _kernel
-
-END_TO_END = r"""
-import time
-import grig
-from grig import permgroup, rigidity
-t0 = time.time()
-permgroup.level_quotient(8).order
-t1 = time.time()
-rigidity.rank_witness("P", 5)
-t2 = time.time()
-print(f"{grig.KERNEL_BACKEND} {t1 - t0:.4f} {t2 - t1:.4f}")
-"""
 
 
 def random_tree_perm(level, rng):
@@ -55,56 +36,3 @@ def bench_primitives(module, degree, repeats=2000):
     t_inverse = timeit.timeit(lambda: module.inverse(a, out),
                               number=repeats) / repeats
     return t_compose, t_inverse
-
-
-def bench_strip(level=8, inserts=200):
-    from grig.permgroup import PivotChain, level_quotient
-    rng = np.random.default_rng(11)
-    gens = [g.images for g in level_quotient(level).generators]
-    chain = PivotChain(level)
-    words = []
-    for _ in range(inserts):
-        w = np.arange(1 << level, dtype=np.int32)
-        for _ in range(12):
-            w = _kernel.compose(w, gens[rng.integers(len(gens))])
-        words.append(w)
-    t0 = time.time()
-    for w in words:
-        chain.insert(w)
-    build = time.time() - t0
-    t_member = timeit.timeit(
-        lambda: chain.contains(words[50]), number=200) / 200
-    return build, t_member
-
-
-def fmt(seconds):
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:8.2f} us"
-    return f"{seconds * 1e3:8.2f} ms"
-
-
-def main():
-    print(f"kernel backend: {_kernel.BACKEND}")
-    for degree in (256, 2048):
-        tc, ti = bench_primitives(_kernel, degree)
-        print(f"  degree {degree:4d}  compose {fmt(tc)}   inverse {fmt(ti)}")
-
-    print("chain insert + membership (level 8, 200 random elements):")
-    build, member = bench_strip()
-    print(f"  build {fmt(build)}   sift {fmt(member)}")
-
-    print("end to end (fresh interpreter): level-8 quotient order, "
-          "then rank witness for P5")
-    out = subprocess.run([sys.executable, "-c", END_TO_END],
-                         capture_output=True, text=True)
-    if out.returncode:
-        print(out.stderr, file=sys.stderr)
-        return 1
-    backend, t_orders, t_rank = out.stdout.split()
-    print(f"  {backend:7s} quotient {float(t_orders):7.3f} s   "
-          f"rank {float(t_rank):7.3f} s")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -33,8 +33,10 @@ def strip(g, slot_leaf, slot_shift, slot_value, pivot_row, pinv, start):
     Returns the first slot >= start at which ``g`` moves the slot vertex and
     no pivot is available, or len(slot_leaf) if ``g`` stripped through every
     slot (in which case g is the identity: fixing every left sibling fixes
-    the whole tree).  Raises ValueError if ``g`` maps some block outside its
-    sibling pair, which cannot happen for tree automorphisms.
+    the whole tree).  Callers must pass tree automorphisms: the only block
+    check is on the first leaf of each moved slot vertex, which raises
+    ValueError if that leaf lands outside the sibling vertex, so other
+    permutations that break the block structure can sift without raising.
     """
     nslots = len(slot_leaf)
     s = start

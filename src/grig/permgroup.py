@@ -56,14 +56,18 @@ def _check_bijection(a):
 
 def validate_tree_perm(a, level):
     """Check that a leaf permutation maps sibling blocks to sibling blocks at
-    every level, i.e. comes from an automorphism of the depth-``level`` tree."""
+    every level, i.e. comes from an automorphism of the depth-``level`` tree:
+    blocks are intervals, so it suffices that a[i] ^ a[i + 1] <= i ^ (i + 1)
+    (adjacent leaves stay at least as close in the tree)."""
     if len(a) != 1 << level:
         raise DegreeMismatch(f"expected degree {1 << level}, got {len(a)}")
     _check_bijection(a)
-    for l in range(1, level):
-        rows = a.reshape(1 << l, -1) >> (level - l)
-        if not (rows == rows[:, :1]).all():
-            raise ValueError(f"not block-structured at level {l}")
+    i = np.arange(len(a) - 1)
+    bad = np.nonzero((a[:-1] ^ a[1:]) > (i ^ (i + 1)))[0]
+    if len(bad):
+        i = int(bad[0])
+        l = level - (i ^ (i + 1)).bit_length()
+        raise ValueError(f"not block-structured at level {l}")
 
 
 class Permutation:
@@ -327,8 +331,7 @@ class PermGroup:
         return self.chain.order
 
     def contains(self, perm):
-        if perm.degree != self.degree:
-            raise DegreeMismatch("degree mismatch")
+        validate_tree_perm(perm.images, self.level)
         return self.chain.contains(perm.images)
 
     def contains_group(self, other):
@@ -340,21 +343,29 @@ class PermGroup:
     def is_trivial(self):
         return not self.generators or self.order == 1
 
-    def orbit(self, point):
-        """Orbit of a leaf index under the generators."""
-        if not 0 <= point < self.degree:
+    def transversal(self, k, vertex):
+        """Orbit of a level-k vertex with one element per orbit point:
+        {x: element taking ``vertex`` to x}.  A level-k vertex is numbered
+        by the leaf index of any leaf below it shifted right by level - k."""
+        if not 0 <= k <= self.level:
+            raise ValueError(f"k must be in 0..{self.level}")
+        if not 0 <= vertex < 1 << k:
             raise ValueError("point out of range")
-        seen = {point}
-        frontier = [point]
-        arrays = [g.images for g in self.generators]
+        shift = self.level - k
+        t = {vertex: Permutation.identity(self.degree)}
+        frontier = [vertex]
         while frontier:
             x = frontier.pop()
-            for a in arrays:
-                y = int(a[x])
-                if y not in seen:
-                    seen.add(y)
+            for g in self.generators:
+                y = int(g.images[x << shift]) >> shift
+                if y not in t:
+                    t[y] = g * t[x]
                     frontier.append(y)
-        return seen
+        return t
+
+    def orbit(self, point):
+        """Orbit of a leaf index under the generators."""
+        return set(self.transversal(self.level, point))
 
     def strong_generators(self):
         chain = self.chain
@@ -514,6 +525,21 @@ def level_stabilizer_image(q, k):
 
 def orbit(q, point):
     return q.orbit(point)
+
+
+def vertex_stabilizer(q, k, vertex):
+    """Stabilizer in q of a level-k vertex (numbered as in
+    ``PermGroup.transversal``), generated by the Schreier generators
+    t[g x]^-1 g t[x] over every orbit point x and every generator g
+    (Schreier's lemma)."""
+    t = q.transversal(k, vertex)
+    shift = q.level - k
+    gens = []
+    for x, tx in t.items():
+        for g in q.generators:
+            y = g.apply(x << shift) >> shift
+            gens.append(t[y].inverse() * g * tx)
+    return PermGroup(q.level, gens)
 
 
 # --- block helpers -----------------------------------------------------------

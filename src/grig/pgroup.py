@@ -132,8 +132,8 @@ def check_rank_bound(g, h):
     """
     if not g.contains_group(h):
         raise ContainmentError("H is not contained in G")
-    d_g = frattini_rank(g) if not g.is_trivial() else 0
-    d_h = frattini_rank(h) if not h.is_trivial() else 0
+    d_g = frattini_rank(g)
+    d_h = frattini_rank(h)
     c = lower_central_series(g).nilpotency_class
     bound = d_g ** c
     return RankBoundReport(d_g, d_h, c, bound,

@@ -24,7 +24,6 @@ from fractions import Fraction
 from grig import catalog, permgroup
 from grig.catalog import VerificationReport
 from grig.config import max_level
-from grig.elements import Word
 from grig.pgroup import Lcg, frattini_rank, random_subgroup
 
 STABILIZER_RANK_DEPTH = 3  # st-chain ranks probed this many levels down
@@ -317,43 +316,15 @@ def normal_sandwich_check(target, level):
 
 # --- vertex stabilizers --------------------------------------------------------
 
-def _point_stabilizer_words(n):
-    """A word for every element of the level-n quotient fixing the vertex
-    1^n, by breadth-first search with word tracking."""
-    import numpy as np
-
-    from grig._kernel import compose
-    gens = {ch: permgroup.image_at_level(Word(ch), n).images for ch in "abcd"}
-    ident = np.arange(1 << n, dtype=np.int32)
-    seen = {ident.tobytes(): ""}
-    frontier = [(ident, "")]
-    while frontier:
-        nxt = []
-        for arr, w in frontier:
-            for ch, g in gens.items():
-                q = compose(arr, g)
-                key = q.tobytes()
-                if key not in seen:
-                    seen[key] = w + ch
-                    nxt.append((q, w + ch))
-        frontier = nxt
-    leaf = (1 << n) - 1
-    return [w for key, w in seen.items()
-            if int(np.frombuffer(key, dtype=np.int32)[leaf]) == leaf]
-
-
 def vertex_stabilizer_image(n, level):
-    """Image of the full stabilizer of the vertex 1^n in a level quotient:
-    generated by lifted words covering the stabilizer modulo st(n) together
-    with the st(n)-image.  This is the subgroup of index exactly 2^n whose
-    rank the toolkit can probe independently of any generator list."""
+    """Image of the full stabilizer of the vertex 1^n in a level quotient,
+    by Schreier's lemma over the 2^n-point orbit of 1^n.  This is the
+    subgroup of index exactly 2^n whose rank the toolkit can probe
+    independently of any generator list."""
     if level < n:
         raise ValueError("level must be at least n")
     q = permgroup.level_quotient(level)
-    stn = permgroup.level_stabilizer_image(q, n)
-    gens = [permgroup.image_at_level(Word(w), level)
-            for w in _point_stabilizer_words(n)]
-    img = permgroup.subgroup(level, gens + list(stn.generators))
+    img = permgroup.vertex_stabilizer(q, n, (1 << n) - 1)
     if q.order != img.order * (1 << n):
         raise AssertionError("vertex stabilizer has unexpected index")
     return img
@@ -378,7 +349,7 @@ def conjecture_probe(level, samples, seed):
         k = 1 + rng.next_below(4)
         sub_seed = rng.next_below(1 << 32)
         h = random_subgroup(q, k, sub_seed)
-        d = frattini_rank(h) if not h.is_trivial() else 0
+        d = frattini_rank(h)
         index = q.order // h.order
         if d >= 2:  # rows carry rg > 0; d <= 1 samples cannot form a row
             rows.append(_row(level, d, index, False, source="probe"))

@@ -115,7 +115,7 @@ def nilpotent_bound_suite(cases=((4, 100), (5, 20)), seed=2024):
         for i in range(count):
             k = 1 + rng.next_below(4)
             h = random_subgroup(q, k, rng.next_below(1 << 32))
-            d_h = frattini_rank(h) if not h.is_trivial() else 0
+            d_h = frattini_rank(h)
             report.add(f"rank-bound[level={level},i={i}]", "nilpotent-bound",
                        {"level": level, "k": k, "d_H": d_h, "bound": bound},
                        d_h <= bound)

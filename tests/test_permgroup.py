@@ -1,5 +1,7 @@
 """Level quotients, stabilizer chains, orders, membership, closures."""
 
+import itertools
+
 import numpy as np
 
 import pytest
@@ -128,6 +130,33 @@ def test_orbit_transitivity():
     assert subgroup(3, []).orbit(5) == {5}
 
 
+def test_transversal_and_vertex_stabilizer():
+    q = level_quotient(5)
+    for k, vertex in [(5, 0), (3, 7), (0, 0)]:
+        t = q.transversal(k, vertex)
+        shift = 5 - k
+        for x, tx in t.items():
+            assert tx.apply(vertex << shift) >> shift == x
+        stab = P.vertex_stabilizer(q, k, vertex)
+        for g in stab.generators:
+            assert g.apply(vertex << shift) >> shift == vertex
+        assert q.order == stab.order * len(t)
+    assert q.orbit(0) == set(q.transversal(5, 0))
+    with pytest.raises(ValueError):
+        q.orbit(32)
+    with pytest.raises(ValueError):
+        q.transversal(6, 0)
+
+
+def test_contains_rejects_non_tree_permutation():
+    # swapping leaves 0 and 3 breaks the sibling pairs {0, 1} and {2, 3};
+    # sifting checks only the first leaf of each slot vertex and misses it
+    images = list(range(32))
+    images[0], images[3] = 3, 0
+    with pytest.raises(ValueError):
+        level_quotient(5).contains(Permutation(images))
+
+
 def test_chain_pivots_have_2_power_order():
     q5 = level_quotient(5)
     for g in q5.strong_generators():
@@ -154,6 +183,17 @@ def test_tree_structure_validation():
         Permutation([0, 0, 1, 2])  # not a bijection
     with pytest.raises(DegreeMismatch):
         Permutation.identity(4) * Permutation.identity(8)
+    # of all (2^n)! leaf permutations, exactly |Aut(T_n)| = 2^(2^n - 1)
+    # pass as tree automorphisms
+    for n in (1, 2, 3):
+        accepted = 0
+        for images in itertools.permutations(range(1 << n)):
+            try:
+                P.validate_tree_perm(np.array(images, dtype=np.int32), n)
+                accepted += 1
+            except ValueError:
+                pass
+        assert accepted == 1 << ((1 << n) - 1)
 
 
 def test_nest_and_block_helpers():

@@ -29,6 +29,7 @@ def test_frattini_rank_elementary_abelian_8():
     h = subgroup(3, gens)
     assert h.order == 8
     assert G.frattini_rank(h) == 3
+    assert G.frattini_rank(subgroup(3, [])) == 0
 
 
 def test_frattini_rank_K_image():

@@ -71,7 +71,7 @@ def test_rank_witness_q3_reports_redundant_list():
 def test_vertex_stabilizer_image():
     # the full stabilizer of 1^n: index exactly 2^n, rank n + 3 (which the
     # catalog list group, of index 2^(n+1), strictly exceeds by one)
-    for n, level in [(2, 6), (3, 7)]:
+    for n, level in [(2, 6), (3, 7), (4, 8), (5, 9)]:
         stab = R.vertex_stabilizer_image(n, level)
         assert P.level_quotient(level).order == stab.order * (1 << n)
         assert frattini_rank(stab) == n + 3
