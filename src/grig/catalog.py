@@ -152,6 +152,11 @@ def subgroup_generators(name, n=None):
             "level_stabilizer_image on a quotient")
     if n is None:
         raise ValueError(f"{name} requires the parameter n")
+    if name in ("R", "Q", "P"):
+        # the lists use x_i and v_i up to i = n - 2
+        top = max_level() + 2
+        if not 1 <= n <= top:
+            raise ValueError(f"{name} requires n in 1..{top}, got n = {n}")
     if name == "R":
         if n == 1:
             return [T, U, V]
@@ -171,8 +176,6 @@ def subgroup_generators(name, n=None):
     if name == "P":
         if n == 1:
             return [_D, _C, Word("ada"), Word("aca")]
-        if n < 1:
-            raise ValueError("P requires n >= 1")
         return ([_C, _D] + _x_range(n)
                 + [U, family_element("v", n - 2), pair_uu()])
     raise ValueError(f"unknown subgroup {name!r}")

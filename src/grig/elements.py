@@ -37,6 +37,8 @@ concurrent threads.
 
 from __future__ import annotations
 
+from grig.config import LevelLimitError, max_level
+
 GENERATORS = "abcd"
 
 _KLEIN = {
@@ -482,6 +484,11 @@ class Portrait:
     def of(cls, g, depth):
         if depth < 0:
             raise ValueError("depth must be nonnegative")
+        if depth > max_level():
+            raise LevelLimitError(
+                f"depth {depth} above the level guard {max_level()}: a "
+                f"portrait has 2^depth boundary vertices (raise "
+                f"GRIG_MAX_LEVEL to go deeper)")
         activity = {}
         boundary = {}
 

@@ -20,7 +20,11 @@ the suffix of the chain below level k -- which is why the base is ordered
 this way.  Completeness is maintained by processing the Schreier conditions
 of each new pivot (its square and its conjugates with the other pivots),
 which is all that remains of the Schreier-Sims algorithm on orbits of
-size two.
+size two.  A pair of pivots that move disjoint sets of leaves is skipped:
+such pivots commute, so the conjugate is the deeper pivot itself, which
+sifts through its own slot and can never add a pivot.  Each pivot keeps
+its moved-leaf set as an integer bitmask for this test.  ``verify`` still
+rechecks every pair.
 """
 
 from __future__ import annotations
@@ -172,7 +176,7 @@ class PivotChain:
 
     __slots__ = ("level", "degree", "nslots", "slot_leaf", "slot_shift",
                  "slot_value", "slot_level", "pivot_row", "npivots",
-                 "_pivots", "_pinvs", "_queue")
+                 "_pivots", "_pinvs", "_supports", "_queue")
 
     def __init__(self, level):
         self.level = level
@@ -185,6 +189,7 @@ class PivotChain:
         cap = 16
         self._pivots = np.empty((cap, self.degree), dtype=_DTYPE)
         self._pinvs = np.empty((cap, self.degree), dtype=_DTYPE)
+        self._supports = {}
         self._queue = []
 
     @property
@@ -197,6 +202,7 @@ class PivotChain:
         other.npivots = self.npivots
         other._pivots = self._pivots.copy()
         other._pinvs = self._pinvs.copy()
+        other._supports = dict(self._supports)
         return other
 
     def pivot_slots(self):
@@ -233,18 +239,24 @@ class PivotChain:
         self._pivots[row] = perm
         inverse(perm, out=self._pinvs[row])
         self.pivot_row[slot] = row
+        moved = perm != np.arange(self.degree, dtype=_DTYPE)
+        self._supports[slot] = int.from_bytes(np.packbits(moved).tobytes(),
+                                              "big")
         self.npivots += 1
 
     def _add_pivot(self, slot, perm):
         # Schreier conditions of the new pivot: its square, and its
         # conjugates with every other pivot (the deeper one conjugated by
         # the shallower).  Each unordered pair is queued exactly once, by
-        # whichever pivot is created later.
-        others = self.pivot_slots()
+        # whichever pivot is created later.  A pair with disjoint supports
+        # commutes, so its conjugate is the deeper pivot, which always
+        # sifts; such pairs are not queued.
         self._install(slot, perm)
         self._queue.append((slot, slot))
-        for r in others:
-            self._queue.append((min(slot, r), max(slot, r)))
+        support = self._supports[slot]
+        for r in self.pivot_slots():
+            if r != slot and support & self._supports[r]:
+                self._queue.append((min(slot, r), max(slot, r)))
 
     def _drain(self):
         scratch = np.empty(self.degree, dtype=_DTYPE)

@@ -5,6 +5,7 @@ import pytest
 from grig import catalog as C
 from grig import elements as E
 from grig import permgroup as P
+from grig.config import max_level
 from grig.elements import equal_elements, is_identity, mul, invert, section_at
 
 
@@ -94,6 +95,16 @@ def test_generator_lists():
         C.subgroup_generators("R")
     with pytest.raises(ValueError):
         C.subgroup_generators("Z", 1)
+
+
+def test_family_parameter_range_checked_first():
+    top = max_level() + 2
+    for name in "RQP":
+        assert len(C.subgroup_generators(name, top)) == top + 4
+        for n in (0, -1, top + 1, 40):
+            with pytest.raises(ValueError,
+                               match=rf"n in 1\.\.{top}, got n = {n}$"):
+                C.subgroup_generators(name, n)
 
 
 def test_kn_generators_lie_in_nested_stabilizers():

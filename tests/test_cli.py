@@ -1,11 +1,13 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import grig
 from grig.cli import main
 
 
@@ -178,3 +180,25 @@ def test_verify_level_guard_exit_2(capsys):
         assert main(["verify", suite, "--level", "12"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "level 12" in captured.err
+
+
+def test_rank_family_parameter_out_of_range_exit_2(capsys):
+    from grig import config
+    assert main(["rank", "--subgroup", "R", "--n", "40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"n in 1..{config.max_level() + 2}, got n = 40" in captured.err
+    assert "family index" not in captured.err
+
+
+def test_portrait_depth_guard_exit_2():
+    # a portrait has 2^depth boundary vertices; the guard fires before the
+    # walk, and the timeout stops the test instead of the suite hanging
+    src = os.path.dirname(os.path.dirname(grig.__file__))
+    script = (f"import sys; sys.path.insert(0, {src!r}); "
+              "from grig.cli import main; "
+              "sys.exit(main(['portrait', 'abcd', '--depth', '22']))")
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=30)
+    assert res.returncode == 2 and res.stdout == ""
+    assert "depth 22" in res.stderr

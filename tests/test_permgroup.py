@@ -6,9 +6,11 @@ import numpy as np
 
 import pytest
 
+from grig import catalog as C
 from grig import elements as E
 from grig import permgroup as P
-from grig.config import LevelLimitError
+from grig import pgroup as G
+from grig.config import LevelLimitError, raised_level
 from grig.permgroup import (DegreeMismatch, Permutation, PermGroup,
                             collapse_to_level, enumerate_elements,
                             image_at_level, level_quotient,
@@ -64,6 +66,11 @@ def test_small_orders_against_bfs():
 def test_order_formula_middle_levels():
     for n in range(3, 7):
         assert level_quotient(n).order == 1 << (5 * (1 << (n - 3)) + 2)
+
+
+def test_order_formula_level_11():
+    with raised_level(11):
+        assert level_quotient(11).order == 1 << (5 * (1 << 8) + 2)
 
 
 def test_projection_consistency(rng):
@@ -276,3 +283,57 @@ def test_chain_stress_against_bfs(rng):
             outside = Permutation(compose(elems[0], gens4[0]))
             assert h.contains(outside) == any(
                 np.array_equal(outside.images, e) for e in elems)
+
+
+class UnprunedChain(P.PivotChain):
+    """Reference closure: queues the Schreier pair of every two pivots,
+    including those with disjoint supports."""
+
+    def _add_pivot(self, slot, perm):
+        others = self.pivot_slots()
+        self._install(slot, perm)
+        self._queue.append((slot, slot))
+        for r in others:
+            self._queue.append((min(slot, r), max(slot, r)))
+
+
+def _pruning_cases():
+    """Fresh groups (no cached chain) whose chains the two closures build."""
+    cases = [PermGroup(n, level_quotient(n).generators) for n in range(1, 10)]
+    cases += [G.frattini_subgroup(C.subgroup_image("P", n, n + 3))
+              for n in range(1, 5)]
+    q4 = level_quotient(4)
+    cases.append(normal_closure(PermGroup(4, q4.generators),
+                                [image_at_level(E.Word("abab"), 4)]))
+    return cases
+
+
+def test_pruned_closure_matches_unpruned(monkeypatch):
+    pruned = _pruning_cases()
+    texts = [P.group_to_text(g, include_chain=True) for g in pruned]
+    monkeypatch.setattr(P, "PivotChain", UnprunedChain)
+    unpruned = _pruning_cases()
+    assert all(type(g.chain) is UnprunedChain for g in unpruned)
+    assert [P.group_to_text(g, include_chain=True)
+            for g in unpruned] == texts
+    for g in pruned + unpruned:
+        g.chain.verify()
+
+
+def test_insert_after_adopt_and_copy():
+    # a does not normalize st_1 of P_2, so inserting a must sift the
+    # conjugates of the adopted pivots: a chain that lost their supports
+    # would skip those pairs and stop at twice the order
+    level = 6
+    a = image_at_level(E.Word("a"), level)
+    st1 = level_stabilizer_image(C.subgroup_image("P", 2, level), 1)
+    fresh = PermGroup(level, st1.generators + [a])
+    assert fresh.order > 2 * st1.order
+    copied = st1.chain.copy()
+    assert st1.chain.insert(a.images)
+    assert st1.order == fresh.order
+    st1.chain.verify()
+    assert copied.order * 2 < fresh.order
+    assert copied.insert(a.images)
+    assert copied.order == fresh.order
+    copied.verify()
