@@ -47,12 +47,10 @@ _MEMBER_CACHE = {}
 
 
 def _k3_image():
-    """Image of K in the level-3 quotient: the normal closure of the image
-    of t.  Built once."""
+    """Image of K in the level-3 quotient.  Built once."""
     global _K3
     if _K3 is None:
-        q3 = permgroup.level_quotient(3)
-        _K3 = permgroup.normal_closure(q3, [permgroup.image_at_level(T, 3)])
+        _K3 = k_image(3)
     return _K3
 
 
@@ -139,8 +137,11 @@ def subgroup_generators(name, n=None):
     if name == "K1":
         return subgroup_generators("Kn", 1)
     if name == "Kn":
-        if n is None or n < 1:
-            raise ValueError("Kn requires n >= 1")
+        # the nesting range of family_element, checked before the
+        # 3 * 2^n generators are built
+        if n is None or not 1 <= n <= max_level():
+            raise ValueError(
+                f"Kn requires n in 1..{max_level()}, got n = {n}")
         gens = []
         for w in range(1 << n):
             vertex = format(w, f"0{n}b")
@@ -343,8 +344,7 @@ def verify_generator_redundancies():
 
 def k_image(level):
     """Image of K = <t, u, v> in the level quotient."""
-    return permgroup.subgroup(
-        level, [permgroup.image_at_level(g, level) for g in (T, U, V)])
+    return subgroup_image("K", None, level)
 
 
 def kn_image(n, level):

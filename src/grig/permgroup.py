@@ -353,7 +353,7 @@ class PermGroup:
         return all(self.contains(g) for g in other.generators)
 
     def is_trivial(self):
-        return not self.generators or self.order == 1
+        return not self.generators
 
     def transversal(self, k, vertex):
         """Orbit of a level-k vertex with one element per orbit point:
@@ -402,58 +402,36 @@ def subgroup(level, generators):
 # --- images of elements ------------------------------------------------------
 
 _IMAGE_CACHE = {}
-_LETTER_IMAGE_CACHE = {}
-
-
-def _letter_image(ch, n):
-    key = (ch, n)
-    a = _LETTER_IMAGE_CACHE.get(key)
-    if a is None:
-        if n == 0:
-            a = np.arange(1, dtype=_DTYPE)
-        elif ch == "a":
-            a = np.arange(1 << n, dtype=_DTYPE) ^ (1 << (n - 1))
-        else:
-            _, s0, s1 = elements._LETTER_LEVEL1[ch]
-            lo = _word_image(s0, n - 1)
-            hi = _word_image(s1, n - 1)
-            a = np.concatenate([lo, hi + (1 << (n - 1))])
-        a.setflags(write=False)
-        _LETTER_IMAGE_CACHE[key] = a
-    return a
-
-
-def _word_image(letters, n):
-    if not letters:
-        return np.arange(1 << n, dtype=_DTYPE)
-    cur = _letter_image(letters[-1], n)
-    for ch in reversed(letters[:-1]):
-        cur = compose(_letter_image(ch, n), cur)
-    return cur
 
 
 def _image_array(e, n):
+    """Level-n image array of an element.  A single letter or a Pair puts
+    the level-(n-1) images of its two sections side by side (swapped if the
+    element swaps the subtrees); a longer Word or a Product composes the
+    images of its factors."""
     if n == 0:
         return np.arange(1, dtype=_DTYPE)
     key = (e.key(), n)
     a = _IMAGE_CACHE.get(key)
     if a is not None:
         return a
-    if isinstance(e, elements.Word):
-        a = _word_image(e.letters, n)
-    elif isinstance(e, elements.Pair):
-        half = 1 << (n - 1)
-        a = np.concatenate([_image_array(e.left, n - 1),
-                            _image_array(e.right, n - 1) + half])
-    else:
+    if isinstance(e, elements.Product):
         factors = e.factors
-        if not factors:
-            a = np.arange(1 << n, dtype=_DTYPE)
-        else:
-            a = _image_array(factors[-1], n)
-            for f in reversed(factors[:-1]):
-                a = compose(_image_array(f, n), a)
-    a = np.ascontiguousarray(a, dtype=_DTYPE)
+    elif isinstance(e, elements.Word) and len(e.letters) > 1:
+        factors = [elements.Word(ch) for ch in e.letters]
+    else:
+        factors = ()
+    if factors:
+        a = _image_array(factors[-1], n)
+        for f in reversed(factors[:-1]):
+            a = compose(_image_array(f, n), a)
+    else:
+        swap, s0, s1 = e.decompose()
+        half = 1 << (n - 1)
+        a = np.concatenate([_image_array(s0, n - 1),
+                            _image_array(s1, n - 1) + half])
+        if swap:
+            a ^= half
     a.setflags(write=False)
     _IMAGE_CACHE[key] = a
     return a
@@ -500,22 +478,18 @@ def normal_closure(ambient, seeds):
     gen_invs = [inverse(a) for a in gen_arrays]
     closure_gens = []
     worklist = []
-    for s in seeds:
-        a = s.images if isinstance(s, Permutation) else _as_perm_array(s)
-        if len(a) != ambient.degree:
-            raise DegreeMismatch("seed degree mismatch")
-        if chain.insert(a):
-            closure_gens.append(np.array(a, dtype=_DTYPE))
-            worklist.append(a)
+    for s in PermGroup(level, seeds).generators:
+        if chain.insert(s.images):
+            closure_gens.append(s)
+            worklist.append(s.images)
     while worklist:
         x = worklist.pop()
         for ga, gi in zip(gen_arrays, gen_invs):
             c = compose(gi, compose(x, ga))
             if chain.insert(c):
-                closure_gens.append(c)
+                closure_gens.append(Permutation._wrap(c))
                 worklist.append(c)
-    return PermGroup(level, [Permutation._wrap(c) for c in closure_gens],
-                     _chain=chain)
+    return PermGroup(level, closure_gens, _chain=chain)
 
 
 def level_stabilizer_image(q, k):

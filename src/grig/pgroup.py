@@ -11,12 +11,12 @@ quotient by the Frattini subgroup, and the Frattini subgroup is generated
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from grig._kernel import compose, inverse
-from grig.permgroup import PermGroup, Permutation, normal_closure, subgroup
+from grig.permgroup import Permutation, normal_closure, subgroup
 
 
 class NotA2Group(ValueError):
@@ -56,24 +56,10 @@ def frattini_subgroup(h):
     return normal_closure(h, seeds)
 
 
-@dataclass
-class RankResult:
-    rank: int
-    order: int
-    frattini_order: int
-    frattini_subgroup: PermGroup
-
-
-def frattini_data(h):
-    phi = frattini_subgroup(h)
-    d = _log2_exact(h.order // phi.order)
-    return RankResult(d, h.order, phi.order, phi)
-
-
 def frattini_rank(h):
     """Minimal number of generators of a finite 2-group, as
     log2 [H : Phi(H)] (Burnside basis theorem)."""
-    return frattini_data(h).rank
+    return _log2_exact(h.order // frattini_subgroup(h).order)
 
 
 @dataclass
@@ -196,7 +182,6 @@ class SemidirectReport:
     lhs: int
     rhs: int
     holds: bool
-    alpha_columns: list = field(default_factory=list)
 
     def to_json(self):
         return {
@@ -207,34 +192,6 @@ class SemidirectReport:
             "rhs": self.rhs,
             "holds": self.holds,
         }
-
-
-def _mod_frattini_basis(h, phi):
-    """Generators of h that are independent modulo phi, with the chain of
-    partial spans used for coordinate extraction."""
-    chains = [phi.chain.copy()]
-    basis = []
-    for g in h.generators:
-        if chains[-1].contains(g.images):
-            continue
-        nxt = chains[-1].copy()
-        nxt.insert(g.images)
-        chains.append(nxt)
-        basis.append(g)
-    return basis, chains
-
-
-def _coords_mod_frattini(e, basis, chains):
-    """Coordinates of an element in the Frattini quotient, as a bitmask."""
-    cur = np.array(e.images, dtype=np.int32)
-    bits = 0
-    for i in range(len(basis) - 1, -1, -1):
-        if not chains[i].contains(cur):
-            bits |= 1 << i
-            cur = compose(cur, inverse(basis[i].images))
-    if not chains[0].contains(cur):
-        raise AssertionError("coordinate extraction left the span")
-    return bits
 
 
 def semidirect_rank_identity(h, x):
@@ -255,13 +212,13 @@ def semidirect_rank_identity(h, x):
     extended = subgroup(h.level, list(h.generators) + [x])
     lhs = frattini_rank(extended)
 
+    # Modulo Phi(H), g = g^-1, so (1 + alpha) sends the class of g to the
+    # class of [g, x]; its image is spanned by those classes.
     phi = frattini_subgroup(h)
-    basis, chains = _mod_frattini_basis(h, phi)
-    d = len(basis)
-    columns = []
-    for i, g in enumerate(basis):
-        image = _coords_mod_frattini(xi * g * x, basis, chains)
-        columns.append((1 << i) ^ image)  # (1 + alpha) e_i
-    r = gf2_rank(columns)
+    d = _log2_exact(h.order // phi.order)
+    span = phi.chain.copy()
+    for g in h.generators:
+        span.insert((g.inverse() * xi * g * x).images)
+    r = _log2_exact(span.order // phi.order)
     rhs = (d - r) + 1
-    return SemidirectReport(d, r, lhs, rhs, lhs == rhs, columns)
+    return SemidirectReport(d, r, lhs, rhs, lhs == rhs)

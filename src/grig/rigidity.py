@@ -8,8 +8,10 @@ of H's generator list).  When they meet, the rank is exact.
 
 Gradient rows are exact rationals (d - 1) / index; logs are base-2 doubles
 used only in the rigidity ratios, which never feed back into an exact value.
-The vertex-stabilizer chain P_n has index 2^n and rank n + 4 for n >= 2, so
-its rows are (n + 3) / 2^n.
+Each P row pairs d(P_n) = n + 4 (n >= 2) with 2^n, the index of the full
+stabilizer of the vertex 1^n, so its rows are (n + 3) / 2^n.  The catalog
+group P_n itself has index 2^(n + 1); the rows keep the stabilizer's index
+until P_n's own index is certified.
 """
 
 from __future__ import annotations
@@ -38,9 +40,11 @@ def quotient_order_formula(n):
 
 def index_of(name, n=None):
     """Exact index of a catalog subgroup, with the stated verification:
-    P_n by the orbit of the vertex 1^n, st(n) by the chain order against the
-    closed form, K and K_n by the index of their images in a quotient deep
-    enough to be faithful (they contain the corresponding level stabilizer).
+    for "P", 2^n, the index of the full stabilizer of the vertex 1^n (not
+    of the catalog group P_n), by the orbit of 1^n; st(n) by the chain
+    order against the closed form; K and K_n by the index of their images
+    in a quotient deep enough to be faithful (they contain the
+    corresponding level stabilizer).
     """
     if name == "P":
         q = permgroup.level_quotient(n)
@@ -269,15 +273,11 @@ def _target_image(target, level):
 
 def fixed_level_depth(group):
     """Largest k such that the group fixes every level-k vertex (modulo the
-    ambient level): min over generators of the first level they act on,
-    minus one."""
-    n0 = group.level
-    for g in group.generators:
-        for k in range(1, group.level + 1):
-            if not permgroup.collapse_to_level(g, k).is_identity():
-                n0 = min(n0, k - 1)
-                break
-    return n0
+    ambient level): the level of the first pivot slot minus one, since the
+    chain base is ordered by level."""
+    chain = group.chain
+    slots = chain.pivot_slots()
+    return int(chain.slot_level[slots[0]]) - 1 if slots else group.level
 
 
 def normal_sandwich_check(target, level):
@@ -372,13 +372,8 @@ def _fmt(x):
 
 def _cells(row):
     """The CSV_HEADER columns of a row, formatted for CSV and Markdown."""
-    return [
-        _fmt(row.n), _fmt(row.d), _fmt(row.index), _fmt(row.rg.numerator),
-        _fmt(row.rg.denominator),
-        _fmt(row.log2_d if row.d >= 1 else None),
-        _fmt(row.loglog2_index if row.index >= 2 else None),
-        _fmt(row.ratio), _fmt(row.certified),
-    ]
+    js = row.to_json()
+    return [_fmt(js[k]) for k in CSV_HEADER]
 
 
 def rows_to_csv(rows):

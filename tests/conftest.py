@@ -12,6 +12,7 @@ import pytest
 from grig._kernel import compose, inverse
 from grig.elements import Word
 from grig.pgroup import Lcg
+from grig.rigidity import rank_gradient_table
 
 # one recursion rule per letter: letter applied to first bit gives the image
 # bit and the letter that continues on the rest (None = stop)
@@ -87,3 +88,10 @@ def brute_frattini_rank(group):
 @pytest.fixture
 def rng():
     return Lcg(20240817)
+
+
+@pytest.fixture(scope="session")
+def p_rows_8():
+    """rank_gradient_table("P", 8), the slowest table the suite reads; built
+    once per session and shared read-only."""
+    return tuple(rank_gradient_table("P", 8))

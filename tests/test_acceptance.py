@@ -114,8 +114,8 @@ def test_criterion_03_certified_ranks():
             f"{len(RANK_CASES)} cases")
 
 
-def test_criterion_04_rank_gradient_exact():
-    rows = R.rank_gradient_table("P", 8)
+def test_criterion_04_rank_gradient_exact(p_rows_8):
+    rows = p_rows_8
     by_n = {r.n: r for r in rows}
     failures = []
     for n in range(2, 9):
@@ -129,8 +129,8 @@ def test_criterion_04_rank_gradient_exact():
     _report(4, "rank gradient (n+3)/2^n for n=2..8", failures)
 
 
-def test_criterion_05_rigidity_constant():
-    rows = [r for r in R.rank_gradient_table("P", 8) if r.admissible]
+def test_criterion_05_rigidity_constant(p_rows_8):
+    rows = [r for r in p_rows_8 if r.admissible]
     report = R.rigidity_report(rows)
     failures = []
     if not (math.isfinite(report.d_min) and report.d_min <= 4):

@@ -105,6 +105,13 @@ def test_family_parameter_range_checked_first():
             with pytest.raises(ValueError,
                                match=rf"n in 1\.\.{top}, got n = {n}$"):
                 C.subgroup_generators(name, n)
+    # Kn nests 3 * 2^n generators, up to the nesting depth max_level()
+    top = max_level()
+    assert len(C.subgroup_generators("Kn", 1)) == 6
+    for n in (0, -1, top + 1, 40):
+        message = rf"^Kn requires n in 1\.\.{top}, got n = {n}$"
+        with pytest.raises(ValueError, match=message):
+            C.subgroup_generators("Kn", n)
 
 
 def test_kn_generators_lie_in_nested_stabilizers():

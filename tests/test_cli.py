@@ -11,6 +11,17 @@ import grig
 from grig.cli import main
 
 
+SRC = os.path.dirname(os.path.dirname(grig.__file__))
+
+
+def run_python(code, env=None):
+    """Run ``code`` in a fresh interpreter that imports grig from this
+    checkout; the timeout stops the test instead of the suite hanging."""
+    script = f"import sys; sys.path.insert(0, {SRC!r}); {code}"
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=30)
+
+
 def run_cli(*args):
     from io import StringIO
     import contextlib
@@ -130,16 +141,12 @@ def test_config_file(tmp_path):
 
 
 def test_env_override(tmp_path):
-    script = ("import sys; from grig.cli import main; "
-              "sys.exit(main(['quotient', '--level', '11']))")
-    bad = subprocess.run([sys.executable, "-c", script],
-                         capture_output=True, text=True)
+    bad = run_python("from grig.cli import main; "
+                     "sys.exit(main(['quotient', '--level', '11']))")
     assert bad.returncode == 2
-    import os
     env = dict(os.environ, GRIG_MAX_LEVEL="11")
-    ok = subprocess.run([sys.executable, "-c",
-                         "from grig.config import max_level; print(max_level())"],
-                        capture_output=True, text=True, env=env)
+    ok = run_python("from grig.config import max_level; print(max_level())",
+                    env=env)
     assert ok.stdout.strip() == "11"
 
 
@@ -191,14 +198,19 @@ def test_rank_family_parameter_out_of_range_exit_2(capsys):
     assert "family index" not in captured.err
 
 
+def test_rank_kn_parameter_out_of_range_exit_2():
+    # K_n has 3 * 2^n generators; the range check fires before they are built
+    from grig import config
+    res = run_python("from grig.cli import main; sys.exit(main("
+                     "['rank', '--subgroup', 'Kn', '--n', '40']))")
+    assert res.returncode == 2 and res.stdout == ""
+    top = config.max_level()
+    assert f"Kn requires n in 1..{top}, got n = 40" in res.stderr
+
+
 def test_portrait_depth_guard_exit_2():
-    # a portrait has 2^depth boundary vertices; the guard fires before the
-    # walk, and the timeout stops the test instead of the suite hanging
-    src = os.path.dirname(os.path.dirname(grig.__file__))
-    script = (f"import sys; sys.path.insert(0, {src!r}); "
-              "from grig.cli import main; "
-              "sys.exit(main(['portrait', 'abcd', '--depth', '22']))")
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, timeout=30)
+    # a portrait has 2^depth boundary vertices; the guard fires before the walk
+    res = run_python("from grig.cli import main; "
+                     "sys.exit(main(['portrait', 'abcd', '--depth', '22']))")
     assert res.returncode == 2 and res.stdout == ""
     assert "depth 22" in res.stderr

@@ -99,6 +99,9 @@ def test_normal_closure_examples():
     assert q3.order // k3.order == 16
     q1 = level_quotient(1)
     assert normal_closure(q1, [image_at_level(E.Word("b"), 1)]).order == 1
+    # a bijection that is not a tree automorphism is rejected, not sifted
+    with pytest.raises(ValueError):
+        normal_closure(q3, [Permutation([0, 7, 2, 5, 4, 3, 6, 1])])
 
 
 def test_normal_closure_is_normal(rng):

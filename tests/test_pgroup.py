@@ -213,3 +213,4 @@ def test_semidirect_on_catalog_case():
     b = image_at_level(E.Word("b"), level)
     rep = G.semidirect_rank_identity(r2, b)
     assert rep.lhs == rep.rhs == 5
+    assert rep.dim_h == 5 and rep.rank_one_plus_alpha == 1

@@ -113,9 +113,8 @@ def test_st_chain_rows_are_uncertified_lower_bounds():
     assert [r.index for r in rows] == [2, 8, 128, 4096]
 
 
-def test_rigidity_report_values():
-    rows = R.rank_gradient_table("P", 8)
-    report = R.rigidity_report([r for r in rows if r.admissible])
+def test_rigidity_report_values(p_rows_8):
+    report = R.rigidity_report([r for r in p_rows_8 if r.admissible])
     by_n = {r.n: r for r in report.rows}
     assert math.isclose(by_n[4].ratio, 2 / 3, rel_tol=1e-12)
     assert math.isclose(by_n[8].ratio, 3 / math.log2(12), rel_tol=1e-12)
