@@ -27,7 +27,8 @@ def inverse(a, out=None):
     return out
 
 
-def strip(g, slot_leaf, slot_shift, slot_value, pivot_row, pinv, start):
+def strip(g, slot_leaf, slot_shift, slot_value, pivot_row, pinv, start,
+          applied=None):
     """Sift ``g`` (modified in place) through the chain from slot ``start``.
 
     Returns the first slot >= start at which ``g`` moves the slot vertex and
@@ -37,6 +38,11 @@ def strip(g, slot_leaf, slot_shift, slot_value, pivot_row, pinv, start):
     check is on the first leaf of each moved slot vertex, which raises
     ValueError if that leaf lands outside the sibling vertex, so other
     permutations that break the block structure can sift without raising.
+
+    If ``applied`` is a list, the pivot row of every pivot divided out is
+    appended to it, in slot order: when ``g`` strips through, the original
+    ``g`` is the product of those pivots, and otherwise it is their product
+    times the residue left in ``g``.
     """
     nslots = len(slot_leaf)
     s = start
@@ -48,9 +54,11 @@ def strip(g, slot_leaf, slot_shift, slot_value, pivot_row, pinv, start):
         s += int(moved[0])
         if g[slot_leaf[s]] >> slot_shift[s] != slot_value[s] + 1:
             raise ValueError("permutation is not block-structured")
-        row = pivot_row[s]
+        row = int(pivot_row[s])
         if row < 0:
             return s
         g[:] = pinv[row][g]
+        if applied is not None:
+            applied.append(row)
         s += 1
     return nslots

@@ -6,7 +6,8 @@ generator words juxtapose letters ("abab"), '*' multiplies, '^' conjugates
 recognized.  Vertices are strings over 0/1.
 
 Exit codes: 0 on success (verification suites: all checks passed), 1 when a
-verification suite reports failures, 2 on usage errors.
+verification suite reports failures, 2 on usage errors (including a level
+budget too small to certify a rank-gradient row).
 """
 
 from __future__ import annotations
@@ -230,7 +231,8 @@ def main(argv=None):
     try:
         _apply_config(args.config)
         return args.func(args)
-    except (elements.ParseError, ValueError, config.LevelLimitError) as exc:
+    except (elements.ParseError, ValueError, config.LevelLimitError,
+            rigidity.RankNotCertified) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,6 +25,13 @@ such pivots commute, so the conjugate is the deeper pivot itself, which
 sifts through its own slot and can never add a pivot.  Each pivot keeps
 its moved-leaf set as an integer bitmask for this test.  ``verify`` still
 rechecks every pair.
+
+A complete chain is a polycyclic presentation: the pivots in slot order
+form a polycyclic sequence with factors of order 2, and the sift of each
+Schreier pair (s, r) writes p_s^2 or p_s^-1 p_r p_s as a product of pivots
+in later slots.  Closure records each such relation, abelianised mod 2, as
+an integer bitmask over pivot rows (``PivotChain.relations``); a skipped
+disjoint pair gives the zero relation and is not stored.
 """
 
 from __future__ import annotations
@@ -176,7 +183,8 @@ class PivotChain:
 
     __slots__ = ("level", "degree", "nslots", "slot_leaf", "slot_shift",
                  "slot_value", "slot_level", "pivot_row", "npivots",
-                 "_pivots", "_pinvs", "_supports", "_queue")
+                 "_pivots", "_pinvs", "_supports", "_queue", "_relations",
+                 "_pending")
 
     def __init__(self, level):
         self.level = level
@@ -191,6 +199,8 @@ class PivotChain:
         self._pinvs = np.empty((cap, self.degree), dtype=_DTYPE)
         self._supports = {}
         self._queue = []
+        self._relations = []
+        self._pending = []
 
     @property
     def order(self):
@@ -203,6 +213,8 @@ class PivotChain:
         other._pivots = self._pivots.copy()
         other._pinvs = self._pinvs.copy()
         other._supports = dict(self._supports)
+        other._relations = list(self._relations)
+        other._pending = list(self._pending)
         return other
 
     def pivot_slots(self):
@@ -211,9 +223,9 @@ class PivotChain:
     def pivot_perm(self, slot):
         return self._pivots[self.pivot_row[slot]]
 
-    def _strip_inplace(self, g, start=0):
+    def _strip_inplace(self, g, start=0, applied=None):
         return strip(g, self.slot_leaf, self.slot_shift, self.slot_value,
-                     self.pivot_row, self._pinvs, start)
+                     self.pivot_row, self._pinvs, start, applied)
 
     def residue(self, images, start=0):
         """(drop_slot, residue) after sifting a copy of ``images``."""
@@ -244,34 +256,68 @@ class PivotChain:
                                               "big")
         self.npivots += 1
 
-    def _add_pivot(self, slot, perm):
-        # Schreier conditions of the new pivot: its square, and its
-        # conjugates with every other pivot (the deeper one conjugated by
-        # the shallower).  Each unordered pair is queued exactly once, by
-        # whichever pivot is created later.  A pair with disjoint supports
-        # commutes, so its conjugate is the deeper pivot, which always
-        # sifts; such pairs are not queued.
-        self._install(slot, perm)
-        self._queue.append((slot, slot))
+    def _schreier_pairs(self, slot, earlier):
+        """Schreier conditions of the pivot at ``slot``: its square, and its
+        conjugates with the pivots at the ``earlier`` slots, those installed
+        before it (the deeper one conjugated by the shallower).  Each
+        unordered pair comes from whichever pivot is installed later, so it
+        is listed exactly once.  A pair with disjoint supports commutes, so
+        its conjugate is the deeper pivot, which always sifts; such pairs
+        are left out."""
+        pairs = [(slot, slot)]
         support = self._supports[slot]
-        for r in self.pivot_slots():
+        for r in earlier:
             if r != slot and support & self._supports[r]:
-                self._queue.append((min(slot, r), max(slot, r)))
+                pairs.append((min(slot, r), max(slot, r)))
+        return pairs
+
+    def _add_pivot(self, slot, perm):
+        self._install(slot, perm)
+        self._queue.extend(self._schreier_pairs(slot, self.pivot_slots()))
 
     def _drain(self):
+        """Sift every queued Schreier pair from the slot after its first
+        pivot, adding a pivot where one drops, and record its relation:
+        the rows applied, plus e_r for a conjugate, plus the new pivot's
+        row if the sift dropped."""
         scratch = np.empty(self.degree, dtype=_DTYPE)
+        applied = []
         while self._queue:
             s, r = self._queue.pop()
-            p = self._pivots[self.pivot_row[s]]
+            s_row = self.pivot_row[s]
+            p = self._pivots[s_row]
             if s == r:
                 g = compose(p, p)
+                rel = 0
             else:
-                q = self._pivots[self.pivot_row[r]]
-                compose(q, p, out=scratch)
-                g = compose(self._pinvs[self.pivot_row[s]], scratch)
-            drop = self._strip_inplace(g, s + 1)
+                r_row = int(self.pivot_row[r])
+                compose(self._pivots[r_row], p, out=scratch)
+                g = compose(self._pinvs[s_row], scratch)
+                rel = 1 << r_row
+            applied.clear()
+            drop = self._strip_inplace(g, s + 1, applied)
+            for a in applied:
+                rel ^= 1 << a
             if drop < self.nslots:
+                rel |= 1 << self.npivots
                 self._add_pivot(drop, g)
+            if rel:
+                self._relations.append(rel)
+
+    def relations(self):
+        """Relations of the chain's pc presentation, abelianised mod 2: one
+        nonzero bitmask over pivot rows per Schreier pair whose sift gave
+        one.  ``npivots - gf2_rank(relations())`` is the Frattini rank.
+        The pairs of adopted pivots are sifted here, the first time this is
+        asked for."""
+        if self._pending:
+            by_row = sorted(self.pivot_slots(), key=self.pivot_row.__getitem__)
+            for slot in self._pending:
+                earlier = by_row[:self.pivot_row[slot]]
+                self._queue.extend(self._schreier_pairs(slot, earlier))
+            self._pending = []
+            self._drain()
+        return self._relations
 
     def insert(self, images):
         """Extend the chain so that ``images`` sifts; True if it was new.
@@ -288,11 +334,14 @@ class PivotChain:
 
     def adopt(self, slot_perm_pairs):
         """Install an already-complete pivot family (e.g. a chain suffix or a
-        disjoint union of nested chains) without reprocessing closure."""
+        disjoint union of nested chains) without reprocessing closure.  The
+        new pivots are kept pending: ``relations`` sifts their Schreier
+        pairs."""
         for slot, perm in sorted(slot_perm_pairs, key=lambda sp: sp[0]):
             if self.pivot_row[slot] >= 0:
                 raise ValueError(f"slot {slot} already occupied")
             self._install(slot, np.array(perm, dtype=_DTYPE))
+            self._pending.append(slot)
 
     def verify(self):
         """Recheck every Schreier condition; raises if the chain is broken."""

@@ -5,8 +5,19 @@ rank identity.
 Every group here is a PermGroup inside some tree-automorphism 2-group, so
 orders are powers of two by construction and the Burnside basis theorem
 applies: the minimal number of generators equals the F2-dimension of the
-quotient by the Frattini subgroup, and the Frattini subgroup is generated
-(as a normal subgroup) by squares and commutators of any generating set.
+quotient by the Frattini subgroup.
+
+That dimension is read off the group's own stabilizer chain.  A complete
+chain is a polycyclic presentation: its pivots in slot order are a
+polycyclic sequence with factors of order 2, and closure sifts every
+power relation p_s^2 and conjugate relation p_s^-1 p_r p_s into a product
+of later pivots.  The presented group has order at most 2^npivots = |H|,
+so it is H, and abelianised mod 2 it presents H / Phi(H).  Closure records
+each relation as a bitmask over the pivots, so d(H) = npivots - rank_F2
+of those bitmasks, with no second chain.  The Frattini subgroup itself,
+the normal closure of the squares and commutators of any generating set,
+is still built where the subgroup is needed (the semidirect rank identity)
+and serves the tests as an independent check of the rank.
 """
 
 from __future__ import annotations
@@ -58,8 +69,12 @@ def frattini_subgroup(h):
 
 def frattini_rank(h):
     """Minimal number of generators of a finite 2-group, as
-    log2 [H : Phi(H)] (Burnside basis theorem)."""
-    return _log2_exact(h.order // frattini_subgroup(h).order)
+    log2 [H : Phi(H)] (Burnside basis theorem), read off the pc relations
+    the chain recorded while it closed: H / Phi(H) is F2^npivots modulo
+    their span, so d(H) = npivots - rank_F2(relations)."""
+    chain = h.chain
+    relations = chain.relations()
+    return chain.npivots - gf2_rank(relations)
 
 
 @dataclass
@@ -162,17 +177,18 @@ def random_subgroup(g, k, seed):
 
 
 def gf2_rank(vectors):
-    """Rank over F2 of a list of bitmask-encoded vectors."""
-    basis = []
-    rank = 0
+    """Rank over F2 of a list of bitmask-encoded vectors, by elimination on
+    a basis keyed by leading bit."""
+    basis = {}
     for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
+        while v:
+            top = v.bit_length() - 1
+            b = basis.get(top)
+            if b is None:
+                basis[top] = v
+                break
+            v ^= b
+    return len(basis)
 
 
 @dataclass

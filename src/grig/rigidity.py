@@ -31,6 +31,10 @@ from grig.pgroup import Lcg, frattini_rank, random_subgroup
 STABILIZER_RANK_DEPTH = 3  # st-chain ranks probed this many levels down
 
 
+class RankNotCertified(RuntimeError):
+    """A rank-gradient row's rank did not certify within the level budget."""
+
+
 def quotient_order_formula(n):
     """Closed form for the order of the level-n quotient; n >= 3."""
     if n < 3:
@@ -105,9 +109,14 @@ def rank_witness(name, n=None, level_budget=None):
     generator count (then the rank is exactly that) or the budget runs out
     (then only the best lower bound is reported, flagged uncertified).
     """
+    if level_budget is not None and level_budget < 1:
+        raise ValueError(f"level budget must be at least 1, got "
+                         f"{level_budget}")
     gens = catalog.subgroup_generators(name, n)
     upper = len(gens)
-    budget = min(level_budget or default_budget(name, n), max_level())
+    if level_budget is None:
+        level_budget = default_budget(name, n)
+    budget = min(level_budget, max_level())
     lower = 0
     witness_level = 0
     history = []
@@ -187,7 +196,7 @@ def rank_gradient_table(chain="P", n_max=8, level_budget=None):
         for n in range(1, n_max + 1):
             w = rank_witness("P", n, level_budget)
             if not w.certified:
-                raise RuntimeError(
+                raise RankNotCertified(
                     f"rank of the level-{n} vertex stabilizer did not "
                     f"certify within the level budget; deepest bound "
                     f"{w.lower_bound} at level {w.witness_level}")

@@ -214,3 +214,71 @@ def test_portrait_depth_guard_exit_2():
                      "sys.exit(main(['portrait', 'abcd', '--depth', '22']))")
     assert res.returncode == 2 and res.stdout == ""
     assert "depth 22" in res.stderr
+
+
+FUZZ_ALPHABET = "abcdtuvx0129!*^() "
+FUZZ_NAMES = ["a", "b", "c", "d", "abab", "t", "u", "v", "uu", "x1", "v2",
+              "u0", "1"]
+
+
+def test_cli_exit_codes_fuzz(capsys):
+    # seeded expressions from the grammar, each then hit by up to three
+    # random character edits over the expression alphabet, plus level
+    # budgets too small or invalid: every run ends in exit 0, 1 or 2, never
+    # in an exception escaping main
+    from grig.pgroup import Lcg
+    rng = Lcg(6)
+
+    def pick(seq):
+        return seq[rng.next_below(len(seq))]
+
+    def expression(depth):
+        k = rng.next_below(5) if depth else 0
+        if k == 0:
+            return pick(FUZZ_NAMES)
+        if k == 1:
+            return expression(depth - 1) + "*" + expression(depth - 1)
+        if k == 2:
+            return expression(depth - 1) + "^" + expression(depth - 1)
+        if k == 3:
+            return expression(depth - 1) + "!"
+        return "(" + expression(depth - 1) + ")"
+
+    def fuzzed():
+        s = expression(3)
+        for _ in range(rng.next_below(4)):
+            i = rng.next_below(len(s) + 1)
+            edit = rng.next_below(3)
+            if edit == 0:
+                s = s[:i] + pick(FUZZ_ALPHABET) + s[i:]
+            elif edit == 1:
+                s = s[:i] + s[i + 1:]
+            else:
+                s = s[:i] + pick(FUZZ_ALPHABET) + s[i + 1:]
+        return s
+
+    runs = [["rg-table", "--budget", "2", "--max", "2"],
+            ["rigidity-report", "--budget", "2"],
+            ["rank", "--subgroup", "K", "--budget", "0"],
+            ["rank", "--subgroup", "P", "--n", "2", "--budget", "-1"]]
+    for i in range(400):
+        command = ("equal", "act", "sections", "portrait")[i % 4]
+        if command == "equal":
+            runs.append(["equal", fuzzed(), fuzzed()])
+        elif command == "act":
+            vertex = "".join(pick("0101012")
+                             for _ in range(rng.next_below(7)))
+            runs.append(["act", fuzzed(), vertex])
+        elif command == "sections":
+            runs.append(["sections", fuzzed()])
+        else:
+            runs.append(["portrait", fuzzed(), "--depth",
+                         str(rng.next_below(5))])
+    codes = []
+    for argv in runs:
+        code = main(argv)
+        assert code in (0, 1, 2), argv
+        codes.append(code)
+    assert "Traceback" not in capsys.readouterr().err
+    assert codes[:4] == [2, 2, 2, 2]
+    assert 0 in codes[4:] and 2 in codes[4:]

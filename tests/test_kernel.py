@@ -137,3 +137,29 @@ def test_strip_rejects_non_block_structured(chain5):
     g[[1, 16]] = g[[16, 1]]
     with pytest.raises(ValueError, match="block-structured"):
         strip(g, *chain_args(chain5), 0)
+
+
+def test_strip_reports_the_rows_it_applied(chain5):
+    # a product of pivots in slot order sifts by exactly those pivots; with
+    # a slot emptied, the sift stops there having applied the earlier ones
+    rng = Lcg(17)
+    slots = chain5.pivot_slots()
+    for _ in range(30):
+        picked = [s for s in slots if rng.next_below(2)]
+        g = np.arange(32, dtype=np.int32)
+        for s in reversed(picked):
+            g = compose(chain5.pivot_perm(s), g)
+        rows = [int(chain5.pivot_row[s]) for s in picked]
+        applied = []
+        assert strip(g.copy(), *chain_args(chain5), 0, applied) == \
+            strip(g.copy(), *chain_args(chain5), 0) == chain5.nslots
+        assert applied == rows
+        if picked:
+            t = picked[rng.next_below(len(picked))]
+            emptied = chain5.pivot_row.copy()
+            emptied[t] = -1
+            applied = []
+            drop = strip(g.copy(), *chain_args(chain5, emptied), 0, applied)
+            assert drop == strip(g.copy(), *chain_args(chain5, emptied), 0)
+            assert drop == t
+            assert applied == [r for s, r in zip(picked, rows) if s < t]

@@ -6,8 +6,8 @@ import pytest
 from grig import catalog as C
 from grig import elements as E
 from grig import pgroup as G
-from grig.permgroup import (Permutation, image_at_level, level_quotient,
-                            subgroup)
+from grig.permgroup import (PermGroup, Permutation, image_at_level,
+                            level_quotient, level_stabilizer_image, subgroup)
 
 from conftest import bfs_elements, brute_frattini_rank, random_word
 
@@ -214,3 +214,64 @@ def test_semidirect_on_catalog_case():
     rep = G.semidirect_rank_identity(r2, b)
     assert rep.lhs == rep.rhs == 5
     assert rep.dim_h == 5 and rep.rank_one_plus_alpha == 1
+
+
+def test_gf2_rank_against_span_size():
+    # rank = log2 of the span's size, the span grown element by element
+    rng = G.Lcg(91)
+    for _ in range(200):
+        bits = 1 + rng.next_below(8)
+        vectors = [rng.next_below(1 << bits)
+                   for _ in range(rng.next_below(10))]
+        span = {0}
+        for v in vectors:
+            span |= {x ^ v for x in span}
+        assert 1 << G.gf2_rank(vectors) == len(span)
+
+
+def frattini_oracle(h):
+    """log2 [H : Phi(H)] with Phi(H) built as a normal closure."""
+    return (h.order // G.frattini_subgroup(h).order).bit_length() - 1
+
+
+def test_frattini_rank_matches_normal_closure():
+    groups = [C.subgroup_image(name, n, level)
+              for name, n, level in [("R", 2, 5), ("R", 3, 6), ("Q", 2, 5),
+                                     ("Q", 3, 6), ("P", 1, 5), ("P", 3, 7),
+                                     ("P", 4, 8), ("K", None, 6),
+                                     ("B", None, 6)]]
+    q6 = level_quotient(6)
+    groups += [G.random_subgroup(q6, 1 + seed % 4, 500 + seed)
+               for seed in range(12)]
+    for h in groups:
+        assert G.frattini_rank(h) == frattini_oracle(h)
+
+
+def test_frattini_rank_matches_normal_closure_on_adopted_chains():
+    # level-stabilizer suffixes and nested K copies are adopted, so their
+    # relations are sifted when the rank is first asked for
+    q6 = level_quotient(6)
+    groups = [level_stabilizer_image(q6, k) for k in range(1, 6)]
+    groups += [C.kn_image(n, 6) for n in (1, 2, 3)]
+    for h in groups:
+        assert h.chain._pending or h.order == 1
+        assert G.frattini_rank(h) == frattini_oracle(h)
+        assert not h.chain._pending
+
+
+def test_frattini_rank_after_copy_and_insert():
+    # the copy carries the recorded and the pending relations; inserting
+    # into it adds the new pairs' relations and leaves the original alone
+    level = 6
+    a = image_at_level(E.Word("a"), level)
+    st1 = level_stabilizer_image(C.subgroup_image("P", 2, level), 1)
+    d_st1 = frattini_oracle(st1)
+    for ask_first in (False, True):
+        if ask_first:
+            assert G.frattini_rank(st1) == d_st1
+        copied = st1.chain.copy()
+        assert copied.insert(a.images)
+        extended = PermGroup(level, st1.generators + [a], _chain=copied)
+        assert G.frattini_rank(extended) == frattini_oracle(
+            PermGroup(level, st1.generators + [a]))
+        assert G.frattini_rank(st1) == d_st1
