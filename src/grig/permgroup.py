@@ -26,12 +26,18 @@ sifts through its own slot and can never add a pivot.  Each pivot keeps
 its moved-leaf set as an integer bitmask for this test.  ``verify`` still
 rechecks every pair.
 
-A complete chain is a polycyclic presentation: the pivots in slot order
+A complete chain is a polycyclic presentation (Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, ch. 8): the pivots in slot order
 form a polycyclic sequence with factors of order 2, and the sift of each
 Schreier pair (s, r) writes p_s^2 or p_s^-1 p_r p_s as a product of pivots
-in later slots.  Closure records each such relation, abelianised mod 2, as
-an integer bitmask over pivot rows (``PivotChain.relations``); a skipped
-disjoint pair gives the zero relation and is not stored.
+in later slots (a skipped disjoint pair gives the trivial relation).  These
+relations present a group of order at most 2^npivots = |H|, so they present
+H, and abelianised mod 2 they present H / Phi(H) as F2^npivots, one bit per
+pivot row, modulo their span.  Closure reduces each relation into an
+echelon basis keyed by leading bit (``PivotChain.relations``, at most
+npivots ints), so d(H) = npivots - len(relations()).  An element of H sifts
+to the product of the pivots ``strip`` divides out, so its class in
+H / Phi(H) is the XOR of their rows.
 """
 
 from __future__ import annotations
@@ -146,6 +152,18 @@ class Permutation:
         return f"<Permutation deg={self.degree} {self.to_line()}>"
 
 
+def f2_reduce(basis, v):
+    """Eliminate the F2 vector ``v`` (a bitmask) on ``basis``, a dict from
+    leading bit to vector, and add what is left, if anything."""
+    while v:
+        top = v.bit_length() - 1
+        b = basis.get(top)
+        if b is None:
+            basis[top] = v
+            return
+        v ^= b
+
+
 # --- slot tables -------------------------------------------------------------
 
 _SLOT_CACHE = {}
@@ -183,7 +201,7 @@ class PivotChain:
 
     __slots__ = ("level", "degree", "nslots", "slot_leaf", "slot_shift",
                  "slot_value", "slot_level", "pivot_row", "npivots",
-                 "_pivots", "_pinvs", "_supports", "_queue", "_relations",
+                 "_pivots", "_pinvs", "_supports", "_queue", "_echelon",
                  "_pending")
 
     def __init__(self, level):
@@ -199,23 +217,12 @@ class PivotChain:
         self._pinvs = np.empty((cap, self.degree), dtype=_DTYPE)
         self._supports = {}
         self._queue = []
-        self._relations = []
+        self._echelon = {}
         self._pending = []
 
     @property
     def order(self):
         return 1 << self.npivots
-
-    def copy(self):
-        other = PivotChain(self.level)
-        other.pivot_row = self.pivot_row.copy()
-        other.npivots = self.npivots
-        other._pivots = self._pivots.copy()
-        other._pinvs = self._pinvs.copy()
-        other._supports = dict(self._supports)
-        other._relations = list(self._relations)
-        other._pending = list(self._pending)
-        return other
 
     def pivot_slots(self):
         return [int(s) for s in np.nonzero(self.pivot_row >= 0)[0]]
@@ -227,10 +234,11 @@ class PivotChain:
         return strip(g, self.slot_leaf, self.slot_shift, self.slot_value,
                      self.pivot_row, self._pinvs, start, applied)
 
-    def residue(self, images, start=0):
-        """(drop_slot, residue) after sifting a copy of ``images``."""
+    def residue(self, images, start=0, applied=None):
+        """(drop_slot, residue) after sifting a copy of ``images``; the rows
+        divided out are appended to ``applied`` as ``strip`` does."""
         g = np.array(images, dtype=_DTYPE)
-        drop = self._strip_inplace(g, start)
+        drop = self._strip_inplace(g, start, applied)
         return drop, g
 
     def contains(self, images):
@@ -277,9 +285,9 @@ class PivotChain:
 
     def _drain(self):
         """Sift every queued Schreier pair from the slot after its first
-        pivot, adding a pivot where one drops, and record its relation:
-        the rows applied, plus e_r for a conjugate, plus the new pivot's
-        row if the sift dropped."""
+        pivot, adding a pivot where one drops, and reduce its relation into
+        the echelon basis: the rows applied, plus e_r for a conjugate, plus
+        the new pivot's row if the sift dropped."""
         scratch = np.empty(self.degree, dtype=_DTYPE)
         applied = []
         while self._queue:
@@ -301,15 +309,14 @@ class PivotChain:
             if drop < self.nslots:
                 rel |= 1 << self.npivots
                 self._add_pivot(drop, g)
-            if rel:
-                self._relations.append(rel)
+            f2_reduce(self._echelon, rel)
 
     def relations(self):
-        """Relations of the chain's pc presentation, abelianised mod 2: one
-        nonzero bitmask over pivot rows per Schreier pair whose sift gave
-        one.  ``npivots - gf2_rank(relations())`` is the Frattini rank.
-        The pairs of adopted pivots are sifted here, the first time this is
-        asked for."""
+        """Echelon basis of the relations of the chain's pc presentation,
+        abelianised mod 2: independent bitmasks over pivot rows, at most
+        ``npivots`` of them, with distinct leading bits.  ``npivots -
+        len(relations())`` is the Frattini rank.  The pairs of adopted
+        pivots are sifted here, the first time this is asked for."""
         if self._pending:
             by_row = sorted(self.pivot_slots(), key=self.pivot_row.__getitem__)
             for slot in self._pending:
@@ -317,7 +324,7 @@ class PivotChain:
                 self._queue.extend(self._schreier_pairs(slot, earlier))
             self._pending = []
             self._drain()
-        return self._relations
+        return list(self._echelon.values())
 
     def insert(self, images):
         """Extend the chain so that ``images`` sifts; True if it was new.

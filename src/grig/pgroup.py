@@ -7,17 +7,12 @@ orders are powers of two by construction and the Burnside basis theorem
 applies: the minimal number of generators equals the F2-dimension of the
 quotient by the Frattini subgroup.
 
-That dimension is read off the group's own stabilizer chain.  A complete
-chain is a polycyclic presentation: its pivots in slot order are a
-polycyclic sequence with factors of order 2, and closure sifts every
-power relation p_s^2 and conjugate relation p_s^-1 p_r p_s into a product
-of later pivots.  The presented group has order at most 2^npivots = |H|,
-so it is H, and abelianised mod 2 it presents H / Phi(H).  Closure records
-each relation as a bitmask over the pivots, so d(H) = npivots - rank_F2
-of those bitmasks, with no second chain.  The Frattini subgroup itself,
-the normal closure of the squares and commutators of any generating set,
-is still built where the subgroup is needed (the semidirect rank identity)
-and serves the tests as an independent check of the rank.
+That dimension is read off the group's own stabilizer chain, which is a
+polycyclic presentation of H whose relations, abelianised mod 2, present
+H / Phi(H); the argument is in the grig.permgroup docstring.  The
+Frattini subgroup itself, the normal closure of the squares and
+commutators of any generating set, is still built on request and serves
+the tests as an independent check of the rank.
 """
 
 from __future__ import annotations
@@ -27,11 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from grig._kernel import compose, inverse
-from grig.permgroup import Permutation, normal_closure, subgroup
-
-
-class NotA2Group(ValueError):
-    pass
+from grig.permgroup import Permutation, f2_reduce, normal_closure, subgroup
 
 
 class ContainmentError(ValueError):
@@ -43,12 +34,6 @@ class NilpotencyCapError(RuntimeError):
 
 
 LOWER_CENTRAL_CAP = 64
-
-
-def _log2_exact(n):
-    if n <= 0 or n & (n - 1):
-        raise NotA2Group(f"order {n} is not a power of two")
-    return n.bit_length() - 1
 
 
 def frattini_subgroup(h):
@@ -70,11 +55,10 @@ def frattini_subgroup(h):
 def frattini_rank(h):
     """Minimal number of generators of a finite 2-group, as
     log2 [H : Phi(H)] (Burnside basis theorem), read off the pc relations
-    the chain recorded while it closed: H / Phi(H) is F2^npivots modulo
-    their span, so d(H) = npivots - rank_F2(relations)."""
+    the chain reduced to an echelon basis while it closed: H / Phi(H) is
+    F2^npivots modulo their span, so d(H) = npivots - len(relations)."""
     chain = h.chain
-    relations = chain.relations()
-    return chain.npivots - gf2_rank(relations)
+    return chain.npivots - len(chain.relations())
 
 
 @dataclass
@@ -177,17 +161,10 @@ def random_subgroup(g, k, seed):
 
 
 def gf2_rank(vectors):
-    """Rank over F2 of a list of bitmask-encoded vectors, by elimination on
-    a basis keyed by leading bit."""
+    """Rank over F2 of a list of bitmask-encoded vectors."""
     basis = {}
     for v in vectors:
-        while v:
-            top = v.bit_length() - 1
-            b = basis.get(top)
-            if b is None:
-                basis[top] = v
-                break
-            v ^= b
+        f2_reduce(basis, v)
     return len(basis)
 
 
@@ -212,8 +189,12 @@ class SemidirectReport:
 
 def semidirect_rank_identity(h, x):
     """Cross-check of the rank of H extended by an involution x against
-    dim(H^(2) / (1 + alpha) H^(2)) + 1, where alpha is the action of x on
-    the Frattini quotient H^(2)."""
+    dim(H / Phi(H)) - rank(1 + alpha) + 1, where alpha is the action of x on
+    the Frattini quotient.  Both terms are read off H's own chain: the
+    dimension is the Frattini rank, and since g = g^-1 modulo Phi(H),
+    (1 + alpha) sends the class of g to the class of [g, x], the XOR of the
+    pivot rows its sift divides out.  The rank of (1 + alpha) is what those
+    classes add to the rank of the relations."""
     if x.degree != h.degree:
         raise ValueError("degree mismatch")
     if not (x * x).is_identity() or x.is_identity():
@@ -228,13 +209,16 @@ def semidirect_rank_identity(h, x):
     extended = subgroup(h.level, list(h.generators) + [x])
     lhs = frattini_rank(extended)
 
-    # Modulo Phi(H), g = g^-1, so (1 + alpha) sends the class of g to the
-    # class of [g, x]; its image is spanned by those classes.
-    phi = frattini_subgroup(h)
-    d = _log2_exact(h.order // phi.order)
-    span = phi.chain.copy()
+    d = frattini_rank(h)
+    relations = h.chain.relations()
+    classes = []
     for g in h.generators:
-        span.insert((g.inverse() * xi * g * x).images)
-    r = _log2_exact(span.order // phi.order)
+        applied = []  # distinct rows: strip divides out each pivot once
+        drop, _ = h.chain.residue((g.inverse() * xi * g * x).images,
+                                  applied=applied)
+        if drop != h.chain.nslots:
+            raise AssertionError("[g, x] does not lie in H")
+        classes.append(sum(1 << row for row in applied))
+    r = gf2_rank(relations + classes) - len(relations)
     rhs = (d - r) + 1
     return SemidirectReport(d, r, lhs, rhs, lhs == rhs)

@@ -102,6 +102,17 @@ def default_budget(name, n):
     return max_level()
 
 
+def level_cap(level_budget, default):
+    """Deepest level a search probes: ``level_budget`` (``default`` when it
+    is None), capped at the level guard; a budget below 1 is rejected."""
+    if level_budget is None:
+        level_budget = default
+    elif level_budget < 1:
+        raise ValueError(f"level budget must be at least 1, got "
+                         f"{level_budget}")
+    return min(level_budget, max_level())
+
+
 def rank_witness(name, n=None, level_budget=None):
     """Certify the rank of a catalog subgroup with a generator list.
 
@@ -109,14 +120,8 @@ def rank_witness(name, n=None, level_budget=None):
     generator count (then the rank is exactly that) or the budget runs out
     (then only the best lower bound is reported, flagged uncertified).
     """
-    if level_budget is not None and level_budget < 1:
-        raise ValueError(f"level budget must be at least 1, got "
-                         f"{level_budget}")
-    gens = catalog.subgroup_generators(name, n)
-    upper = len(gens)
-    if level_budget is None:
-        level_budget = default_budget(name, n)
-    budget = min(level_budget, max_level())
+    budget = level_cap(level_budget, default_budget(name, n))
+    upper = len(catalog.subgroup_generators(name, n))
     lower = 0
     witness_level = 0
     history = []
@@ -187,7 +192,8 @@ def rank_gradient_table(chain="P", n_max=8, level_budget=None):
     an uncertified rank raises rather than being used silently.
     chain "st": level stabilizers, whose ranks are reported as image lower
     bounds only (they have no finite generator list here) and flagged as
-    uncertified.
+    uncertified; each is probed STABILIZER_RANK_DEPTH levels down or at the
+    level budget, if shallower; the rows stop once that is not above n.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -203,8 +209,9 @@ def rank_gradient_table(chain="P", n_max=8, level_budget=None):
             rows.append(_row(n, w.lower_bound, index_of("P", n), True))
         return rows
     if chain == "st":
+        top = level_cap(level_budget, max_level())
         for n in range(1, n_max + 1):
-            probe_level = min(n + STABILIZER_RANK_DEPTH, max_level())
+            probe_level = min(n + STABILIZER_RANK_DEPTH, top)
             if probe_level <= n:
                 break
             q = permgroup.level_quotient(probe_level)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import grig
+from grig import rigidity
 from grig.cli import main
 
 
@@ -257,7 +258,8 @@ def test_cli_exit_codes_fuzz(capsys):
                 s = s[:i] + pick(FUZZ_ALPHABET) + s[i + 1:]
         return s
 
-    runs = [["rg-table", "--budget", "2", "--max", "2"],
+    runs = [["rg-table", "--chain", "st", "--max", "2", "--budget", "0"],
+            ["rg-table", "--budget", "2", "--max", "2"],
             ["rigidity-report", "--budget", "2"],
             ["rank", "--subgroup", "K", "--budget", "0"],
             ["rank", "--subgroup", "P", "--n", "2", "--budget", "-1"]]
@@ -280,5 +282,120 @@ def test_cli_exit_codes_fuzz(capsys):
         assert code in (0, 1, 2), argv
         codes.append(code)
     assert "Traceback" not in capsys.readouterr().err
-    assert codes[:4] == [2, 2, 2, 2]
-    assert 0 in codes[4:] and 2 in codes[4:]
+    assert codes[:5] == [2, 2, 2, 2, 2]
+    assert 0 in codes[5:] and 2 in codes[5:]
+
+
+# Literal outputs, so that any change to them shows as a failing diff.  No
+# ``quotient --chain`` table is pinned: its pivots are not canonical yet.
+PINNED_COMMANDS = [
+    (["rg-table", "--chain", "st", "--max", "6"],
+     "n,d,index,rg_num,rg_den,log2_d,loglog2_index,ratio,certified\n"
+     "1,4,2,3,2,2,0,,False\n"
+     "2,5,8,1,2,2.32192809489,1.58496250072,0.682606194486,False\n"
+     "3,9,128,1,16,3.16992500144,2.80735492206,0.885621874581,False\n"
+     "4,18,4096,17,4096,4.16992500144,3.58496250072,0.859718699852,"
+     "False\n"
+     "5,36,4194304,35,4194304,5.16992500144,4.45943161864,"
+     "0.86257182017,False\n"
+     "6,72,4398046511104,71,4398046511104,6.16992500144,5.39231742278,"
+     "0.873968066308,False\n"),
+    (["rank", "--subgroup", "Q", "--n", "3"],
+     '{"certified": false, "history": [[1, 0], [2, 1], [3, 2], [4, 5],'
+     ' [5, 6], [6, 6], [7, 6], [8, 6]], "lower_bound": 6, "n": 3, '
+     '"subgroup": "Q", "upper_bound": 7, "witness_level": 5}\n'),
+    (["rank", "--subgroup", "K"],
+     '{"certified": true, "history": [[1, 0], [2, 1], [3, 2], [4, 3]],'
+     ' "lower_bound": 3, "n": null, "subgroup": "K", "upper_bound": 3,'
+     ' "witness_level": 4}\n'),
+    (["probe", "--level", "4", "--samples", "25", "--seed", "7",
+      "--format", "md"],
+     "| n | d | index | rg_num | rg_den | log2_d | loglog2_index | "
+     "ratio | certified |\n"
+     "|---|---|---|---|---|---|---|---|---|\n"
+     "| 4 | 3 | 32 | 1 | 16 | 1.58496250072 | 2.32192809489 | "
+     "1.46497352072 | False |\n"
+     "| 4 | 2 | 2 | 1 | 2 | 1 | 0 |  | False |\n"
+     "| 4 | 2 | 4 | 1 | 4 | 1 | 1 | 1 | False |\n"
+     "| 4 | 3 | 1 | 2 | 1 | 1.58496250072 |  |  | False |\n"
+     "| 4 | 3 | 1 | 2 | 1 | 1.58496250072 |  |  | False |\n"
+     "| 4 | 2 | 512 | 1 | 512 | 1 | 3.16992500144 | 3.16992500144 | "
+     "False |\n"
+     "| 4 | 2 | 2 | 1 | 2 | 1 | 0 |  | False |\n"
+     "| 4 | 2 | 2 | 1 | 2 | 1 | 0 |  | False |\n"
+     "| 4 | 2 | 64 | 1 | 64 | 1 | 2.58496250072 | 2.58496250072 | "
+     "False |\n"
+     "| 4 | 2 | 256 | 1 | 256 | 1 | 3 | 3 | False |\n"
+     "| 4 | 2 | 64 | 1 | 64 | 1 | 2.58496250072 | 2.58496250072 | "
+     "False |\n"
+     "| 4 | 2 | 1024 | 1 | 1024 | 1 | 3.32192809489 | 3.32192809489 | "
+     "False |\n"
+     "| 4 | 3 | 1 | 2 | 1 | 1.58496250072 |  |  | False |\n"),
+    (["verify", "conjugation"],
+     '{"checks": 131, "pass": true, "suite": "conjugation"}\n'),
+]
+
+PINNED_CSV = (
+    "n,d,index,rg_num,rg_den,log2_d,loglog2_index,ratio,certified\n"
+    "1,4,2,3,2,2,0,,True\n"
+    "2,6,4,5,4,2.58496250072,1,0.386852807235,True\n"
+    "3,7,8,3,4,2.80735492206,1.58496250072,0.564575034054,True\n"
+    "4,8,16,7,16,3,2,0.666666666667,True\n"
+    "5,9,32,1,4,3.16992500144,2.32192809489,0.732486760359,True\n"
+    "6,10,64,9,64,3.32192809489,2.58496250072,0.778151250384,True\n"
+    "7,11,128,5,64,3.45943161864,2.80735492206,0.811507562957,True\n"
+    "8,12,256,11,256,3.58496250072,3,0.836828836953,True\n")
+
+PINNED_JSON = (
+    '[{"certified": true, "d": 4, "index": "2", "log2_d": 2.0, '
+    '"loglog2_index": 0.0, "n": 1, "ratio": null, "rg_den": 2, '
+    '"rg_num": 3}, {"certified": true, "d": 6, "index": "4", '
+    '"log2_d": 2.584962500721156, "loglog2_index": 1.0, "n": 2, '
+    '"ratio": 0.38685280723454163, "rg_den": 4, "rg_num": 5}, '
+    '{"certified": true, "d": 7, "index": "8", "log2_d": '
+    '2.807354922057604, "loglog2_index": 1.584962500721156, "n": 3, '
+    '"ratio": 0.5645750340535796, "rg_den": 4, "rg_num": 3}, '
+    '{"certified": true, "d": 8, "index": "16", "log2_d": 3.0, '
+    '"loglog2_index": 2.0, "n": 4, "ratio": 0.6666666666666666, '
+    '"rg_den": 16, "rg_num": 7}, {"certified": true, "d": 9, '
+    '"index": "32", "log2_d": 3.169925001442312, "loglog2_index": '
+    '2.321928094887362, "n": 5, "ratio": 0.7324867603589635, '
+    '"rg_den": 4, "rg_num": 1}, {"certified": true, "d": 10, '
+    '"index": "64", "log2_d": 3.321928094887362, "loglog2_index": '
+    '2.584962500721156, "n": 6, "ratio": 0.7781512503836436, '
+    '"rg_den": 64, "rg_num": 9}, {"certified": true, "d": 11, '
+    '"index": "128", "log2_d": 3.4594316186372973, "loglog2_index": '
+    '2.807354922057604, "n": 7, "ratio": 0.8115075629572489, '
+    '"rg_den": 64, "rg_num": 5}, {"certified": true, "d": 12, '
+    '"index": "256", "log2_d": 3.584962500721156, "loglog2_index": '
+    '3.0, "n": 8, "ratio": 0.8368288369533895, "rg_den": 256, '
+    '"rg_num": 11}]')
+
+PINNED_MARKDOWN = (
+    "| n | d | index | rg_num | rg_den | log2_d | loglog2_index | "
+    "ratio | certified |\n"
+    "|---|---|---|---|---|---|---|---|---|\n"
+    "| 1 | 4 | 2 | 3 | 2 | 2 | 0 |  | True |\n"
+    "| 2 | 6 | 4 | 5 | 4 | 2.58496250072 | 1 | 0.386852807235 | True "
+    "|\n"
+    "| 3 | 7 | 8 | 3 | 4 | 2.80735492206 | 1.58496250072 | "
+    "0.564575034054 | True |\n"
+    "| 4 | 8 | 16 | 7 | 16 | 3 | 2 | 0.666666666667 | True |\n"
+    "| 5 | 9 | 32 | 1 | 4 | 3.16992500144 | 2.32192809489 | "
+    "0.732486760359 | True |\n"
+    "| 6 | 10 | 64 | 9 | 64 | 3.32192809489 | 2.58496250072 | "
+    "0.778151250384 | True |\n"
+    "| 7 | 11 | 128 | 5 | 64 | 3.45943161864 | 2.80735492206 | "
+    "0.811507562957 | True |\n"
+    "| 8 | 12 | 256 | 11 | 256 | 3.58496250072 | 3 | 0.836828836953 "
+    "| True |\n")
+
+
+def test_pinned_output(capsys, p_rows_8):
+    for argv, expected in PINNED_COMMANDS:
+        assert main(argv) == 0, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (expected, ""), argv
+    assert rigidity.rows_to_csv(p_rows_8) == PINNED_CSV
+    assert rigidity.rows_to_json(p_rows_8) == PINNED_JSON
+    assert rigidity.rows_to_markdown(p_rows_8) == PINNED_MARKDOWN

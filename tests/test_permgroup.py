@@ -323,7 +323,7 @@ def test_pruned_closure_matches_unpruned(monkeypatch):
         g.chain.verify()
 
 
-def test_insert_after_adopt_and_copy():
+def test_insert_after_adopt():
     # a does not normalize st_1 of P_2, so inserting a must sift the
     # conjugates of the adopted pivots: a chain that lost their supports
     # would skip those pairs and stop at twice the order
@@ -332,11 +332,6 @@ def test_insert_after_adopt_and_copy():
     st1 = level_stabilizer_image(C.subgroup_image("P", 2, level), 1)
     fresh = PermGroup(level, st1.generators + [a])
     assert fresh.order > 2 * st1.order
-    copied = st1.chain.copy()
     assert st1.chain.insert(a.images)
     assert st1.order == fresh.order
     st1.chain.verify()
-    assert copied.order * 2 < fresh.order
-    assert copied.insert(a.images)
-    assert copied.order == fresh.order
-    copied.verify()

@@ -245,6 +245,7 @@ def test_frattini_rank_matches_normal_closure():
                for seed in range(12)]
     for h in groups:
         assert G.frattini_rank(h) == frattini_oracle(h)
+        assert len(h.chain.relations()) <= h.chain.npivots
 
 
 def test_frattini_rank_matches_normal_closure_on_adopted_chains():
@@ -257,21 +258,67 @@ def test_frattini_rank_matches_normal_closure_on_adopted_chains():
         assert h.chain._pending or h.order == 1
         assert G.frattini_rank(h) == frattini_oracle(h)
         assert not h.chain._pending
+        assert len(h.chain.relations()) <= h.chain.npivots
 
 
-def test_frattini_rank_after_copy_and_insert():
-    # the copy carries the recorded and the pending relations; inserting
-    # into it adds the new pairs' relations and leaves the original alone
+def test_frattini_rank_after_adopt_and_insert():
+    # inserting into an adopted chain reduces the new pairs' relations into
+    # the basis, whether the adopted pivots' relations were asked for first
+    # or are still pending
     level = 6
     a = image_at_level(E.Word("a"), level)
-    st1 = level_stabilizer_image(C.subgroup_image("P", 2, level), 1)
-    d_st1 = frattini_oracle(st1)
+    p2 = C.subgroup_image("P", 2, level)
+    d_st1 = frattini_oracle(level_stabilizer_image(p2, 1))
     for ask_first in (False, True):
+        st1 = level_stabilizer_image(p2, 1)
         if ask_first:
             assert G.frattini_rank(st1) == d_st1
-        copied = st1.chain.copy()
-        assert copied.insert(a.images)
-        extended = PermGroup(level, st1.generators + [a], _chain=copied)
+        assert bool(st1.chain._pending) is not ask_first
+        assert st1.chain.insert(a.images)
+        extended = PermGroup(level, st1.generators + [a], _chain=st1.chain)
         assert G.frattini_rank(extended) == frattini_oracle(
             PermGroup(level, st1.generators + [a]))
-        assert G.frattini_rank(st1) == d_st1
+        assert len(st1.chain.relations()) <= st1.chain.npivots
+
+
+def test_relations_are_an_echelon_basis():
+    # the basis has distinct leading bits, so at most one relation per pivot
+    for n in range(1, 11):
+        chain = level_quotient(n).chain
+        relations = chain.relations()
+        assert len(relations) <= chain.npivots
+        assert len({r.bit_length() for r in relations}) == len(relations)
+        assert G.frattini_rank(level_quotient(n)) == min(n, 3)
+
+
+def semidirect_oracle(h, x):
+    """(dim H / Phi(H), rank(1 + alpha)) with Phi(H) built as a normal
+    closure: rank(1 + alpha) = log2 [<Phi(H), [g, x] : g> : Phi(H)]."""
+    phi = G.frattini_subgroup(h)
+    xi = x.inverse()
+    comms = [g.inverse() * xi * g * x for g in h.generators]
+    span = PermGroup(h.level, phi.generators + comms)
+    return ((h.order // phi.order).bit_length() - 1,
+            (span.order // phi.order).bit_length() - 1)
+
+
+def test_semidirect_matches_normal_closure():
+    level = 5
+    q5 = level_quotient(level)
+    groups = [C.subgroup_image(name, n, level)
+              for name, n in [("R", 2), ("Q", 2), ("P", 2), ("K", None),
+                              ("B", None)]]
+    groups += [level_stabilizer_image(q5, k) for k in range(1, 5)]
+    ranks = []
+    for h in groups:
+        for letter in "abcd":
+            x = image_at_level(E.Word(letter), level)
+            try:
+                rep = G.semidirect_rank_identity(h, x)
+            except ValueError:
+                continue
+            assert (rep.dim_h, rep.rank_one_plus_alpha) == \
+                semidirect_oracle(h, x)
+            ranks.append(rep.rank_one_plus_alpha)
+    assert len(ranks) == 25
+    assert min(ranks) == 0 and max(ranks) == 5

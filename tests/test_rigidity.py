@@ -187,3 +187,18 @@ def test_k_index_against_enumeration():
     k3 = C.k_image(3)
     assert R.index_of("K") == P.level_quotient(3).order // len(
         bfs_elements([g.images for g in k3.generators], 8))
+
+
+def test_st_table_level_budget():
+    # the budget caps each probe level: st(3) is probed at level 5 instead
+    # of 6 (its rank is already 9 there), st(4) at level 5, where its image
+    # has rank 10 against 18 from level 6 on, and st(5) would need a level
+    # above 5, so the rows stop
+    rows = R.rank_gradient_table("st", 8, level_budget=5)
+    default = R.rank_gradient_table("st", 3)
+    assert len(rows) == 4
+    assert [(r.n, r.d, r.index) for r in rows[:3]] == \
+        [(r.n, r.d, r.index) for r in default]
+    assert (rows[3].n, rows[3].d) == (4, 10)
+    with pytest.raises(ValueError):
+        R.rank_gradient_table("st", 2, level_budget=0)
