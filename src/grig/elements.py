@@ -22,6 +22,15 @@ Conventions, fixed once and used everywhere:
 * a vertex is a string over {0, 1}; its length is its level; acting on
   ``i w`` gives ``g(i) + section_at(g, i)(w)``.
 
+Everything below follows from the wreath recursion (``a`` swaps the two
+subtrees, ``b = (a, c)``, ``c = (a, d)``, ``d = (1, b)``) and one rule, the
+section of a product: ``(gh)|_x = g|_{h(x)} h|_x``.  :func:`_product_rule`
+states that rule once; the first-level decompositions of words
+(:func:`_word_level1`), of products (``Product.decompose``) and of normal
+forms (:func:`_nf_sections`) all call it.  ``Element.act`` and
+``Element.section`` walk a vertex down through ``decompose()`` in a loop, so
+vertices of any length are handled.
+
 The identity test reduces an element to a normal form (a product of reduced
 words and pairs with no adjacent words), rejects on root activity, and
 recurses into both first-level sections.  Termination: extracting sections
@@ -100,6 +109,30 @@ def reduce_word(letters):
     return "".join(stack)
 
 
+def _product_rule(level1):
+    """First-level data of a product from that of its factors.
+
+    ``level1`` lists each factor's (swap, section0, section1), rightmost
+    factor first.  Applies ``(gh)|_x = g|_{h(x)} h|_x`` along the list and
+    returns the product's swap and its two lists of sections in product
+    order (leftmost first), with empty sections left out.
+    """
+    flip = False
+    out0, out1 = [], []
+    for sw, s0, s1 in level1:
+        if flip:
+            s0, s1 = s1, s0
+        if s0:
+            out0.append(s0)
+        if s1:
+            out1.append(s1)
+        if sw:
+            flip = not flip
+    out0.reverse()
+    out1.reverse()
+    return flip, out0, out1
+
+
 _WORD_LEVEL1 = {}
 
 
@@ -108,22 +141,9 @@ def _word_level1(letters):
     cached = _WORD_LEVEL1.get(letters)
     if cached is not None:
         return cached
-    c0, c1 = 0, 1
-    out0, out1 = [], []
-    for ch in reversed(letters):
-        sw, s0, s1 = _LETTER_LEVEL1[ch]
-        sec0 = s1 if c0 else s0
-        sec1 = s1 if c1 else s0
-        if sec0:
-            out0.append(sec0)
-        if sec1:
-            out1.append(sec1)
-        if sw:
-            c0 ^= 1
-            c1 ^= 1
-    swap = c0 == 1
-    result = (swap, reduce_word("".join(reversed(out0))),
-              reduce_word("".join(reversed(out1))))
+    swap, out0, out1 = _product_rule(
+        [_LETTER_LEVEL1[ch] for ch in reversed(letters)])
+    result = (swap, reduce_word("".join(out0)), reduce_word("".join(out1)))
     _WORD_LEVEL1[letters] = result
     return result
 
@@ -172,18 +192,20 @@ class Element:
         raise NotImplementedError
 
     def act(self, vertex):
-        """Image of a vertex; same level, prefix-compatible."""
+        """Image of a vertex; same level, prefix-compatible.  Once the
+        section reached is the identity word the rest of the vertex is
+        left as it is."""
         check_vertex(vertex)
-        return self._act(vertex)
-
-    def _act(self, vertex):
-        if not vertex:
-            return vertex
-        swap, g0, g1 = self.decompose()
-        i = vertex[0] == "1"
-        section = g1 if i else g0
-        head = "1" if i ^ swap else "0"
-        return head + section._act(vertex[1:])
+        g = self
+        head = []
+        for depth, ch in enumerate(vertex):
+            if isinstance(g, Word) and not g.letters:
+                return "".join(head) + vertex[depth:]
+            swap, g0, g1 = g.decompose()
+            i = ch == "1"
+            head.append("1" if i ^ swap else "0")
+            g = g1 if i else g0
+        return "".join(head)
 
     def section(self, vertex):
         """Restriction to the subtree at ``vertex``; the element must fix
@@ -225,26 +247,6 @@ class Word(Element):
         swap, s0, s1 = _word_level1(self.letters)
         return swap, Word(s0), Word(s1)
 
-    def _act(self, vertex):
-        v = vertex
-        for ch in reversed(self.letters):
-            v = _act_letter(ch, v)
-        return v
-
-
-def _act_letter(ch, v):
-    out = []
-    while v:
-        if ch == "a":
-            return "".join(out) + ("1" if v[0] == "0" else "0") + v[1:]
-        sw, s0, s1 = _LETTER_LEVEL1[ch]
-        out.append(v[0])
-        ch = s1 if v[0] == "1" else s0
-        v = v[1:]
-        if not ch:
-            break
-    return "".join(out) + v
-
 
 class Pair(Element):
     """psi^-1(left, right): fixes level 1 and acts as ``left``/``right`` on
@@ -275,16 +277,10 @@ class Pair(Element):
         n0, n1 = self.left.nf(), self.right.nf()
         if not n0 and not n1:
             return ()
-        return (("P", n0, n1),)
+        return ((False, n0, n1),)
 
     def decompose(self):
         return False, self.left, self.right
-
-    def _act(self, vertex):
-        if not vertex:
-            return vertex
-        side = self.right if vertex[0] == "1" else self.left
-        return vertex[0] + side._act(vertex[1:])
 
 
 class Product(Element):
@@ -307,25 +303,11 @@ class Product(Element):
         return ("m",) + tuple(f.key() for f in self.factors)
 
     def _make_nf(self):
-        items = []
-        for f in self.factors:
-            items.extend(f.nf())
-        return _merge_nf(items)
+        return _merge_nf([f.nf() for f in self.factors])
 
     def decompose(self):
-        swap = False
-        parts0, parts1 = [], []
-        c0, c1 = 0, 1
-        for f in reversed(self.factors):
-            sw, g0, g1 = f.decompose()
-            parts0.append(g1 if c0 else g0)
-            parts1.append(g1 if c1 else g0)
-            if sw:
-                swap = not swap
-                c0 ^= 1
-                c1 ^= 1
-        parts0.reverse()
-        parts1.reverse()
+        swap, parts0, parts1 = _product_rule(
+            [f.decompose() for f in reversed(self.factors)])
         return swap, mul(*parts0), mul(*parts1)
 
 
@@ -403,20 +385,21 @@ def equal_elements(g, h):
 
 # --- normal form and the contraction-based identity test -------------------
 
-def _merge_nf(items):
-    """Merge adjacent word items of a normal-form list; drop identities."""
+def _merge_nf(parts):
+    """Concatenate normal forms, merging adjacent words; drop identities."""
     out = []
-    for item in items:
-        if isinstance(item, str):
-            if out and isinstance(out[-1], str):
-                merged = reduce_word(out[-1] + item)
-                out.pop()
-                if merged:
-                    out.append(merged)
-            elif item:
+    for part in parts:
+        for item in part:
+            if isinstance(item, str):
+                if out and isinstance(out[-1], str):
+                    merged = reduce_word(out[-1] + item)
+                    out.pop()
+                    if merged:
+                        out.append(merged)
+                elif item:
+                    out.append(item)
+            else:
                 out.append(item)
-        else:
-            out.append(item)
     return tuple(out)
 
 
@@ -429,24 +412,17 @@ def _nf_swap(nf):
 
 
 def _nf_sections(nf):
-    """First-level sections of a normal form, as normal forms."""
-    c0, c1 = 0, 1
-    out0, out1 = [], []
+    """First-level sections of a normal form, as normal forms.  A pair item
+    is already its first-level data; a word item's sections are one-word
+    normal forms."""
+    level1 = []
     for item in reversed(nf):
         if isinstance(item, str):
             sw, s0, s1 = _word_level1(item)
-            out0.append(s1 if c0 else s0)
-            out1.append(s1 if c1 else s0)
-            if sw:
-                c0 ^= 1
-                c1 ^= 1
-        else:
-            _, n0, n1 = item
-            out0.extend(reversed(n1 if c0 else n0))
-            out1.extend(reversed(n1 if c1 else n0))
-    out0.reverse()
-    out1.reverse()
-    return _merge_nf(out0), _merge_nf(out1)
+            item = (sw, (s0,) if s0 else (), (s1,) if s1 else ())
+        level1.append(item)
+    _, parts0, parts1 = _product_rule(level1)
+    return _merge_nf(parts0), _merge_nf(parts1)
 
 
 _IDENTITY_CACHE = {}
@@ -616,7 +592,11 @@ def parse_element(text):
             e = mul(e, parse_conjugation())
         return e
 
-    e = parse_product()
+    try:
+        e = parse_product()
+    except RecursionError:
+        raise ParseError("expression nested too deeply",
+                         tokens[pos - 1][2]) from None
     kind, value, at = peek()
     if kind != "end":
         raise ParseError(f"unexpected {value!r}", at)

@@ -147,7 +147,6 @@ class RankGradientRow:
     index: int
     rg: Fraction
     certified: bool
-    source: str = "chain"
 
     @property
     def log2_d(self):
@@ -180,9 +179,8 @@ class RankGradientRow:
         }
 
 
-def _row(n, d, index, certified, source="chain"):
-    return RankGradientRow(n, d, index, Fraction(d - 1, index), certified,
-                           source)
+def _row(n, d, index, certified):
+    return RankGradientRow(n, d, index, Fraction(d - 1, index), certified)
 
 
 def rank_gradient_table(chain="P", n_max=8, level_budget=None):
@@ -216,7 +214,7 @@ def rank_gradient_table(chain="P", n_max=8, level_budget=None):
                 break
             q = permgroup.level_quotient(probe_level)
             d = frattini_rank(permgroup.level_stabilizer_image(q, n))
-            rows.append(_row(n, d, index_of("st", n), False, source="st"))
+            rows.append(_row(n, d, index_of("st", n), False))
         return rows
     raise ValueError(f"unknown chain {chain!r}")
 
@@ -368,7 +366,7 @@ def conjecture_probe(level, samples, seed):
         d = frattini_rank(h)
         index = q.order // h.order
         if d >= 2:  # rows carry rg > 0; d <= 1 samples cannot form a row
-            rows.append(_row(level, d, index, False, source="probe"))
+            rows.append(_row(level, d, index, False))
     return rows
 
 

@@ -258,7 +258,13 @@ def test_cli_exit_codes_fuzz(capsys):
                 s = s[:i] + pick(FUZZ_ALPHABET) + s[i + 1:]
         return s
 
-    runs = [["rg-table", "--chain", "st", "--max", "2", "--budget", "0"],
+    # deep inputs first: a 3000-level vertex walk and 400 nested parentheses
+    deep = "1" * 3000
+    assert main(["act", "d", deep]) == 0
+    act_d = capsys.readouterr().out
+    runs = [["act", "b*c", deep],
+            ["equal", "(" * 400 + "a" + ")" * 400, "a"],
+            ["rg-table", "--chain", "st", "--max", "2", "--budget", "0"],
             ["rg-table", "--budget", "2", "--max", "2"],
             ["rigidity-report", "--budget", "2"],
             ["rank", "--subgroup", "K", "--budget", "0"],
@@ -281,9 +287,11 @@ def test_cli_exit_codes_fuzz(capsys):
         code = main(argv)
         assert code in (0, 1, 2), argv
         codes.append(code)
-    assert "Traceback" not in capsys.readouterr().err
-    assert codes[:5] == [2, 2, 2, 2, 2]
-    assert 0 in codes[5:] and 2 in codes[5:]
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert out.startswith(act_d)
+    assert codes[:7] == [0, 2, 2, 2, 2, 2, 2]
+    assert 0 in codes[7:] and 2 in codes[7:]
 
 
 # Literal outputs, so that any change to them shows as a failing diff.  No

@@ -3,13 +3,29 @@
 import pytest
 
 from grig import elements as E
+from grig.catalog import lookup_name
 from grig.elements import (IDENTITY, NotInVertexStabilizer, Pair, ParseError,
                            Product, Word, act, conjugate, equal_elements,
                            first_level_decomposition, invert, is_identity,
                            mul, parse_element, portrait, reduce_word,
                            section_at)
 
+from grig.permgroup import image_at_level
+
 from conftest import oracle_act_word, random_letters, random_word
+
+CATALOG_PAIRS = ("uu", "x1", "u2", "v1")
+
+
+def random_product(rng):
+    """Product of 2-3 factors, each a random word or a catalog pair."""
+    factors = []
+    for _ in range(2 + rng.next_below(2)):
+        if rng.next_below(2):
+            factors.append(lookup_name(CATALOG_PAIRS[rng.next_below(4)]))
+        else:
+            factors.append(random_word(rng, 18))
+    return mul(*factors)
 
 
 def test_generator_relations():
@@ -88,6 +104,18 @@ def test_act_matches_oracle(rng):
         assert act(Word(letters), v) == oracle_act_word(letters, v)
 
 
+def test_act_on_products_matches_level_image(rng):
+    # the vertex walk goes through Product.decompose and Pair sections; the
+    # level-n image composes the images of the factors instead
+    for _ in range(40):
+        g = random_product(rng)
+        for n in range(1, 11):
+            image = image_at_level(g, n)
+            for _ in range(4):
+                v = format(rng.next_below(1 << n), f"0{n}b")
+                assert act(g, v) == format(image.apply(int(v, 2)), f"0{n}b")
+
+
 def test_act_prefix_compatible(rng):
     for _ in range(100):
         g = random_word(rng, 20)
@@ -138,9 +166,12 @@ def test_section_homomorphism(rng):
 
 
 def test_decomposition_roundtrip(rng):
-    for _ in range(50):
-        g = random_word(rng, 18)
+    words = [random_word(rng, 18) for _ in range(50)]
+    products = [random_product(rng) for _ in range(30)]
+    for g in words + products:
         rebuilt = E.rebuild_first_level(*first_level_decomposition(g))
+        # the identity test reads the rebuilt pair through _nf_sections
+        assert equal_elements(rebuilt, g)
         for n in range(7):
             for i in range(1 << n):
                 v = format(i, f"0{n}b") if n else ""
