@@ -28,16 +28,35 @@ def inverse(a, out=None):
 
 
 def strip(g, slot_leaf, slot_shift, slot_value, pivot_row, pinv, start,
-          applied=None):
+          applied, masks):
     """Sift ``g`` (modified in place) through the chain from slot ``start``.
 
     Returns the first slot >= start at which ``g`` moves the slot vertex and
     no pivot is available, or len(slot_leaf) if ``g`` stripped through every
     slot (in which case g is the identity: fixing every left sibling fixes
-    the whole tree).  Callers must pass tree automorphisms: the only block
-    check is on the first leaf of each moved slot vertex, which raises
-    ValueError if that leaf lands outside the sibling vertex, so other
-    permutations that break the block structure can sift without raising.
+    the whole tree, and ``g`` is overwritten with it).
+
+    The sift runs one tree level at a time.  A scan from the current slot
+    finds the first moved slot; call its level l.  Everything above it is
+    fixed, so on level l both ``g`` and every level-l pivot are products of
+    commuting sibling swaps, and dividing a pivot out XORs its level-l
+    bitmask, ``masks[row]`` (bit i for the i-th slot of the level), into
+    the moved bits of ``g``.  The moved bits of the level are packed into
+    one int and reduced by lowest set bit: each set bit is either divided
+    out by the pivot in its slot or is the slot where the sift drops.  This
+    picks the same rows, in the same slot order, as dividing out one slot
+    at a time.  Above the bottom level the chosen rows' inverses are then
+    applied to ``g`` in that order, since deeper levels need the residue.
+    On the bottom level nothing is applied unless the sift drops there.
+
+    Callers must pass tree automorphisms that fix every slot vertex before
+    ``start`` (as a Schreier candidate sifted from the slot after its first
+    pivot does).  The only block check is on the first leaf of the first
+    moved slot vertex of each level, which raises ValueError if that leaf
+    lands outside the sibling vertex, so other permutations that break the
+    block structure can sift without raising.  ValueError is also raised
+    for a pivot whose mask has a bit before its own slot: the pivots must
+    be the chain's, each fixing every slot before its own.
 
     If ``applied`` is a list, the pivot row of every pivot divided out is
     appended to it, in slot order: when ``g`` strips through, the original
@@ -47,18 +66,41 @@ def strip(g, slot_leaf, slot_shift, slot_value, pivot_row, pinv, start,
     nslots = len(slot_leaf)
     s = start
     while s < nslots:
-        imgs = g[slot_leaf[s:]] >> slot_shift[s:]
-        moved = np.nonzero(imgs != slot_value[s:])[0]
-        if len(moved) == 0:
+        moved = g[slot_leaf[s:]] >> slot_shift[s:] != slot_value[s:]
+        first = int(moved.argmax())
+        if not moved[first]:
             return nslots
-        s += int(moved[0])
-        if g[slot_leaf[s]] >> slot_shift[s] != slot_value[s] + 1:
+        t = s + first
+        if g[slot_leaf[t]] >> slot_shift[t] != slot_value[t] + 1:
             raise ValueError("permutation is not block-structured")
-        row = int(pivot_row[s])
-        if row < 0:
-            return s
-        g[:] = pinv[row][g]
+        # slots are level-major: level l holds slots 2^(l-1) - 1 .. 2^l - 2
+        lo = (1 << ((t + 1).bit_length() - 1)) - 1
+        hi = 2 * lo + 1
+        bits = int.from_bytes(
+            np.packbits(moved[first:hi - s], bitorder="little").tobytes(),
+            "little") << (t - lo)
+        rows = []
+        drop = None
+        while bits:
+            low = bits & -bits
+            i = low.bit_length() - 1
+            row = int(pivot_row[lo + i])
+            if row < 0:
+                drop = lo + i
+                break
+            bits ^= masks[row]
+            if bits & (2 * low - 1):  # the reduction would not end
+                raise ValueError(f"pivot row {row} does not fix the slots "
+                                 f"before slot {lo + i}")
+            rows.append(row)
         if applied is not None:
-            applied.append(row)
-        s += 1
+            applied.extend(rows)
+        if drop is None and hi == nslots:
+            g[:] = np.arange(len(g), dtype=g.dtype)
+            return nslots
+        for row in rows:
+            g[:] = pinv[row][g]
+        if drop is not None:
+            return drop
+        s = hi
     return nslots

@@ -127,9 +127,12 @@ def subgroup_generators(name, n=None):
     K = <t, u, v>; B = Q_1 = <b, t, u, v>; K_n = the 3 * 2^n nested copies of
     t, u, v at the level-n vertices; R_n / Q_n / P_n as recorded, each of
     length n + 4 for n >= 2 (P_1 = <d, c, d^a, c^a>).  The Q_3 list is
-    redundant: u_2 = [v_1, x_1 b], so d(Q_3) = 6, not 7.  st_n carries no
-    element-level list; reason about it through quotients.
+    redundant: u_2 = [v_1, x_1 b], so d(Q_3) = 6, not 7.  K, B and K1 take
+    no parameter n.  st_n carries no element-level list; reason about it
+    through quotients.
     """
+    if name in ("K", "B", "K1") and n is not None:
+        raise ValueError(f"{name} takes no parameter n, got n = {n}")
     if name == "K":
         return [T, U, V]
     if name == "B":
@@ -314,9 +317,12 @@ def conjugation_identities(max_m):
 
 def verify_conjugation_tables(max_m):
     """Check every conjugation rule by forming lhs * rhs^-1 and deciding
-    identity; failures become report entries, never exceptions."""
-    if max_m < 2:
-        raise ValueError("max_m must be at least 2")
+    identity; failures become report entries, never exceptions.  The rules
+    reach the family index max_m + 1, so max_m stops one short of the level
+    guard."""
+    top = max_level() - 1
+    if not 2 <= max_m <= top:
+        raise ValueError(f"--max-m must be in 2..{top}, got {max_m}")
     report = VerificationReport("conjugation")
     for id_, rule, inst, lhs, rhs in conjugation_identities(max_m):
         report.add(id_, rule, inst, _equal(lhs, rhs))

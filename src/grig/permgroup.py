@@ -38,6 +38,17 @@ echelon basis keyed by leading bit (``PivotChain.relations``, at most
 npivots ints), so d(H) = npivots - len(relations()).  An element of H sifts
 to the product of the pivots ``strip`` divides out, so its class in
 H / Phi(H) is the XOR of their rows.
+
+The same view makes a sift an F2 reduction one tree level at a time.  An
+element that fixes every slot above level l fixes level l - 1, and so does
+every pivot in a level-l slot, so on the level-l vertices all of them act
+as products of sibling swaps, which commute.  Dividing a level-l pivot out
+of the element therefore XORs the pivot's level-l swap set into the
+element's, and the pivot at the lowest swapped slot is the one to divide
+out next.  Each pivot keeps its level-l swap set as a bitmask
+(``_masks``, by row), and ``strip`` reduces the packed swap bits of the
+element's level against them, touching the element's leaf array only to
+carry the chosen pivots down to deeper levels.
 """
 
 from __future__ import annotations
@@ -201,8 +212,8 @@ class PivotChain:
 
     __slots__ = ("level", "degree", "nslots", "slot_leaf", "slot_shift",
                  "slot_value", "slot_level", "pivot_row", "npivots",
-                 "_pivots", "_pinvs", "_supports", "_queue", "_echelon",
-                 "_pending")
+                 "_pivots", "_pinvs", "_supports", "_masks", "_queue",
+                 "_echelon", "_pending")
 
     def __init__(self, level):
         self.level = level
@@ -216,6 +227,7 @@ class PivotChain:
         self._pivots = np.empty((cap, self.degree), dtype=_DTYPE)
         self._pinvs = np.empty((cap, self.degree), dtype=_DTYPE)
         self._supports = {}
+        self._masks = []
         self._queue = []
         self._echelon = {}
         self._pending = []
@@ -232,7 +244,7 @@ class PivotChain:
 
     def _strip_inplace(self, g, start=0, applied=None):
         return strip(g, self.slot_leaf, self.slot_shift, self.slot_value,
-                     self.pivot_row, self._pinvs, start, applied)
+                     self.pivot_row, self._pinvs, start, applied, self._masks)
 
     def residue(self, images, start=0, applied=None):
         """(drop_slot, residue) after sifting a copy of ``images``; the rows
@@ -262,6 +274,14 @@ class PivotChain:
         moved = perm != np.arange(self.degree, dtype=_DTYPE)
         self._supports[slot] = int.from_bytes(np.packbits(moved).tobytes(),
                                               "big")
+        # the slot vertices of the pivot's own level that it swaps, bit i
+        # for the i-th slot of the level (see ``strip``)
+        lo = (1 << (int(self.slot_level[slot]) - 1)) - 1
+        span = slice(lo, 2 * lo + 1)
+        swapped = (perm[self.slot_leaf[span]] >> self.slot_shift[span]
+                   != self.slot_value[span])
+        self._masks.append(int.from_bytes(
+            np.packbits(swapped, bitorder="little").tobytes(), "little"))
         self.npivots += 1
 
     def _schreier_pairs(self, slot, earlier):

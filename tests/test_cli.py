@@ -209,6 +209,27 @@ def test_rank_kn_parameter_out_of_range_exit_2():
     assert f"Kn requires n in 1..{top}, got n = 40" in res.stderr
 
 
+@pytest.mark.parametrize("name", ["K", "B", "K1"])
+def test_rank_parameterless_subgroup_rejects_n_exit_2(name, capsys):
+    assert main(["rank", "--subgroup", name, "--n", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{name} takes no parameter n, got n = 5" in captured.err
+
+
+def test_verify_conjugation_max_m_guard_exit_2(capsys):
+    # the tables reach family index max_m + 1; the guard fires before any
+    # rule is built
+    from grig import config
+    top = config.max_level() - 1
+    for max_m in ("1", str(top + 1)):
+        assert main(["verify", "conjugation", "--max-m", max_m]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--max-m must be in 2..{top}, got {max_m}" in captured.err
+        assert "family index" not in captured.err
+
+
 def test_portrait_depth_guard_exit_2():
     # a portrait has 2^depth boundary vertices; the guard fires before the walk
     res = run_python("from grig.cli import main; "
