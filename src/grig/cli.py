@@ -215,7 +215,9 @@ def build_parser():
 
     p = sub.add_parser("probe",
                        help="sample finite-index subgroups for rank/index "
-                            "evidence (uncertified)")
+                            "rows (uncertified; the subgroups are not "
+                            "normal, so the rows do not test the theorem "
+                            "on normal subgroups)")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=2024)

@@ -39,12 +39,25 @@ section is at most half as long (only letters from {b, c, d} contribute a
 letter to a given side, and reduced words alternate).  Results are memoized
 on the normal form, so repeated sub-elements are decided once.
 
-Everything here is immutable after construction and the memo tables rely
-only on atomic dict operations, so all operations are safe to call from
-concurrent threads.
+Reduced words are never reduced again.  A reduced word alternates ``a`` with
+one of b, c, d, so two of them can cancel or merge only at the seam:
+:func:`_concat_reduced` joins normal forms there, without a pass over the
+whole string.  A word's first-level sections are joined the same way from
+its chunks of ``_CHUNK`` letters, whose sections come from a memo table of
+the at most 401 reduced words that short.  :func:`reduce_word` returns a
+string that already has the reduced shape unchanged, so building a
+``Word`` from a reduced string, inverting a word and decomposing one cost
+no stack pass.
+
+Everything here is immutable after construction, and each memo table
+(``_CHUNK_LEVEL1``, ``_WORD_LEVEL1``, ``_IDENTITY_CACHE``) is only read and
+written with single dict operations (``get`` and item assignment), which
+are atomic, so all operations are safe to call from concurrent threads.
 """
 
 from __future__ import annotations
+
+import re
 
 from grig.config import LevelLimitError, max_level
 
@@ -63,6 +76,13 @@ _LETTER_LEVEL1 = {
     "c": (False, "a", "d"),
     "d": (False, "", "b"),
 }
+
+# exactly the reduced words: no letter twice in a row, no two of b, c, d
+# side by side
+_REDUCED = re.compile(r"[bcd]?(?:a[bcd])*a?")
+
+# word sections are assembled from chunks of this many letters
+_CHUNK = 8
 
 
 class NotInVertexStabilizer(ValueError):
@@ -87,8 +107,11 @@ def reduce_word(letters):
     One left-to-right pass with a pushdown of the last letter: equal adjacent
     letters cancel (all generators are involutions) and adjacent letters from
     {b, c, d} merge by the Klein rules.  The rewriting system is confluent on
-    this alphabet, so a single stacked pass reaches the fixpoint.
+    this alphabet, so a single stacked pass reaches the fixpoint.  A string
+    that already has the reduced shape is returned as it is.
     """
+    if _REDUCED.fullmatch(letters):
+        return letters
     stack = []
     for ch in letters:
         if ch not in GENERATORS:
@@ -133,17 +156,66 @@ def _product_rule(level1):
     return flip, out0, out1
 
 
+def _concat_reduced(u, v):
+    """``reduce_word(u + v)`` for reduced words ``u`` and ``v``.
+
+    A seam with exactly one ``a`` is already reduced.  Otherwise equal
+    letters cancel pairwise across the seam; the first unequal pair either
+    merges by a Klein rule, and then its neighbours are ``a`` or absent, or
+    is already reduced.  The rest of both words is untouched.
+    """
+    if not u or not v or (u[-1] == "a") != (v[0] == "a"):
+        return u + v
+    i, j, nv = len(u), 0, len(v)
+    while i and j < nv and u[i - 1] == v[j]:
+        i -= 1
+        j += 1
+    if i and j < nv:
+        merged = _KLEIN.get((u[i - 1], v[j]))
+        if merged is not None:
+            return u[:i - 1] + merged + v[j + 1:]
+    return u[:i] + v[j:]
+
+
+_CHUNK_LEVEL1 = {}
+
+
+def _chunk_level1(chunk):
+    """(swap, section0, section1) of a reduced word of at most ``_CHUNK``
+    letters, from the letters' recursion by the product rule."""
+    cached = _CHUNK_LEVEL1.get(chunk)
+    if cached is not None:
+        return cached
+    swap, out0, out1 = _product_rule(
+        [_LETTER_LEVEL1[ch] for ch in reversed(chunk)])
+    result = (swap, reduce_word("".join(out0)), reduce_word("".join(out1)))
+    _CHUNK_LEVEL1[chunk] = result
+    return result
+
+
 _WORD_LEVEL1 = {}
 
 
 def _word_level1(letters):
-    """(swap, section0, section1) of a reduced word, sections reduced."""
+    """(swap, section0, section1) of a reduced word, sections reduced.
+
+    The product rule over the word's chunks, rightmost first: a chunk's
+    sections swap sides when the part to its right swaps the subtrees, and
+    are joined onto the sections so far at the seam.
+    """
     cached = _WORD_LEVEL1.get(letters)
     if cached is not None:
         return cached
-    swap, out0, out1 = _product_rule(
-        [_LETTER_LEVEL1[ch] for ch in reversed(letters)])
-    result = (swap, reduce_word("".join(out0)), reduce_word("".join(out1)))
+    flip = False
+    sec0 = sec1 = ""
+    for start in reversed(range(0, len(letters), _CHUNK)):
+        sw, s0, s1 = _chunk_level1(letters[start:start + _CHUNK])
+        if flip:
+            s0, s1 = s1, s0
+        sec0 = _concat_reduced(s0, sec0)
+        sec1 = _concat_reduced(s1, sec1)
+        flip ^= sw
+    result = (flip, sec0, sec1)
     _WORD_LEVEL1[letters] = result
     return result
 
@@ -392,7 +464,7 @@ def _merge_nf(parts):
         for item in part:
             if isinstance(item, str):
                 if out and isinstance(out[-1], str):
-                    merged = reduce_word(out[-1] + item)
+                    merged = _concat_reduced(out[-1], item)
                     out.pop()
                     if merged:
                         out.append(merged)

@@ -191,7 +191,9 @@ def rank_gradient_table(chain="P", n_max=8, level_budget=None):
     chain "st": level stabilizers, whose ranks are reported as image lower
     bounds only (they have no finite generator list here) and flagged as
     uncertified; each is probed STABILIZER_RANK_DEPTH levels down or at the
-    level budget, if shallower; the rows stop once that is not above n.
+    level budget, if shallower.  These image ranks settle only from level
+    n + 2 on (st(9) reads 320 at level 10 and 576 from level 11), so the
+    rows stop at the first n whose probe level is below n + 2.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -210,7 +212,7 @@ def rank_gradient_table(chain="P", n_max=8, level_budget=None):
         top = level_cap(level_budget, max_level())
         for n in range(1, n_max + 1):
             probe_level = min(n + STABILIZER_RANK_DEPTH, top)
-            if probe_level <= n:
+            if probe_level < n + 2:
                 break
             q = permgroup.level_quotient(probe_level)
             d = frattini_rank(permgroup.level_stabilizer_image(q, n))
@@ -351,7 +353,11 @@ def conjecture_probe(level, samples, seed):
     index in the quotient).  Each sampled subgroup pulls back to a
     finite-index subgroup containing the level stabilizer, whose true rank
     is at least the recorded one, so the rows are lower-bound evidence only
-    and are flagged as uncertified."""
+    and are flagged as uncertified.
+
+    The sampled subgroups are generated by random words and are in general
+    not normal, so their rows do not test the paper's statement, which is
+    about normal subgroups of finite index."""
     if not 3 <= level <= 6:
         raise ValueError("probe levels 3..6 are supported")
     if samples < 0:

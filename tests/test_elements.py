@@ -1,5 +1,7 @@
 """Word algebra, sections, vertex actions, and the identity test."""
 
+import itertools
+
 import pytest
 
 from grig import elements as E
@@ -65,6 +67,79 @@ def test_reduce_idempotent_and_element_preserving(rng):
         # the unreduced product of single letters equals the reduced word
         unreduced = Product([Word(ch) for ch in raw])
         assert is_identity(mul(unreduced, invert(Word(red))))
+
+
+def stack_reduce(letters):
+    """The general reducer's stack pass, kept here as the oracle for the
+    reduced-shape fast path and the seam merge."""
+    klein = {("b", "c"): "d", ("c", "b"): "d", ("b", "d"): "c",
+             ("d", "b"): "c", ("c", "d"): "b", ("d", "c"): "b"}
+    stack = []
+    for ch in letters:
+        if ch not in "abcd":
+            raise ValueError(f"unknown generator {ch!r}")
+        while stack:
+            top = stack[-1]
+            if top == ch:
+                stack.pop()
+                ch = ""
+                break
+            merged = klein.get((top, ch))
+            if merged is None:
+                break
+            stack.pop()
+            ch = merged
+        if ch:
+            stack.append(ch)
+    return "".join(stack)
+
+
+def random_reduced(rng, length):
+    """A reduced word of the given length: a alternates with b, c or d."""
+    use_a = rng.next_below(2) == 1
+    letters = []
+    for _ in range(length):
+        letters.append("a" if use_a else "bcd"[rng.next_below(3)])
+        use_a = not use_a
+    return "".join(letters)
+
+
+def test_reduce_matches_the_stack_pass_on_all_short_strings():
+    for length in range(9):
+        for letters in itertools.product("abcd", repeat=length):
+            raw = "".join(letters)
+            assert reduce_word(raw) == stack_reduce(raw)
+    # strings of reduced shape apart from a non-generator still raise
+    for bad in ("abe", "ae", "x", "aba\n", "A", "ab ab"):
+        with pytest.raises(ValueError):
+            reduce_word(bad)
+
+
+def test_concat_reduced_matches_full_reduction(rng):
+    for k in range(4000):
+        u = random_reduced(rng, rng.next_below(40))
+        v = random_reduced(rng, rng.next_below(40))
+        if k % 2:
+            # v starts with a reversed suffix of u, so the seam cancels for
+            # a while and then may merge by a Klein rule
+            cut = rng.next_below(len(u) + 1)
+            v = stack_reduce(u[len(u) - cut:][::-1] + v)
+        assert E._concat_reduced(u, v) == stack_reduce(u + v)
+        assert E._concat_reduced(u, v) == reduce_word(u + v)
+
+
+def test_word_sections_match_the_letter_product_rule(rng, monkeypatch):
+    # an empty whole-word memo sends every word through the chunk table
+    monkeypatch.setattr(E, "_WORD_LEVEL1", {})
+    lengths = list(range(81)) + [m * E._CHUNK + e for m in range(1, 11)
+                                 for e in (-1, 0, 1)] * 20
+    for length in lengths:
+        w = random_reduced(rng, length)
+        swap, out0, out1 = E._product_rule(
+            [E._LETTER_LEVEL1[ch] for ch in reversed(w)])
+        assert E._word_level1(w) == (
+            swap, stack_reduce("".join(out0)), stack_reduce("".join(out1)))
+    assert len(E._CHUNK_LEVEL1) <= 401
 
 
 def test_first_level_recursion_table():

@@ -9,6 +9,8 @@ import pytest
 from grig import catalog as C
 from grig import permgroup as P
 from grig import rigidity as R
+from grig.cli import main
+from grig.config import DEFAULT_MAX_LEVEL, max_level
 from grig.pgroup import frattini_rank
 
 from conftest import brute_frattini_rank
@@ -191,14 +193,28 @@ def test_k_index_against_enumeration():
 
 def test_st_table_level_budget():
     # the budget caps each probe level: st(3) is probed at level 5 instead
-    # of 6 (its rank is already 9 there), st(4) at level 5, where its image
-    # has rank 10 against 18 from level 6 on, and st(5) would need a level
-    # above 5, so the rows stop
+    # of 6 (its rank is already 9 there); st(4) would be read at level 5,
+    # where its image has rank 10 against 18 from level 6 on, so the rows
+    # stop before it
     rows = R.rank_gradient_table("st", 8, level_budget=5)
     default = R.rank_gradient_table("st", 3)
-    assert len(rows) == 4
-    assert [(r.n, r.d, r.index) for r in rows[:3]] == \
+    assert len(rows) == 3
+    assert [(r.n, r.d, r.index) for r in rows] == \
         [(r.n, r.d, r.index) for r in default]
-    assert (rows[3].n, rows[3].d) == (4, 10)
     with pytest.raises(ValueError):
         R.rank_gradient_table("st", 2, level_budget=0)
+
+
+def test_st_table_stops_below_the_settling_depth(monkeypatch, capsys):
+    # at the default guard st(9) could only be read at level 10, where its
+    # image has rank 320 against 576 from level 11 on
+    monkeypatch.delenv("GRIG_MAX_LEVEL", raising=False)
+    assert max_level() == DEFAULT_MAX_LEVEL
+    rows = R.rank_gradient_table("st", 9)
+    assert [r.n for r in rows] == list(range(1, 9))
+    assert [r.d for r in rows] == [4, 5, 9, 18, 36, 72, 144, 288]
+    outputs = []
+    for n_max in ("9", "8"):
+        assert main(["rg-table", "--chain", "st", "--max", n_max]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
