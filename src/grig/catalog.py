@@ -349,8 +349,9 @@ def verify_generator_redundancies():
 # --- subgroup images and the branching verifier -----------------------------------
 
 def k_image(level):
-    """Image of K = <t, u, v> in the level quotient."""
-    return subgroup_image("K", None, level)
+    """Image of K = <t, u, v> in the level quotient, built by branch
+    recursion on the K image at level - 1 (``permgroup.branch_image``)."""
+    return permgroup.branch_image((T, U, V), level)
 
 
 def kn_image(n, level):

@@ -49,11 +49,28 @@ out next.  Each pivot keeps its level-l swap set as a bitmask
 (``_masks``, by row), and ``strip`` reduces the packed swap bits of the
 element's level against them, touching the element's leaf array only to
 carry the chosen pivots down to deeper levels.
+
+Level quotients and K images are built by branch recursion
+(``branch_image``).  K = <t, u, v> is normal of index 16 and psi(K)
+contains K x K, so the level-n images of the whole group and of K both
+contain, as a normal subgroup, the two nested copies of K's level-(n - 1)
+image, whose chain is built the same way one level up.  The chain adopts
+those copies as normal (``PivotChain.adopt(..., normal=True)``) and then
+inserts the generators.  A Schreier pair with an adopted normal pivot in it
+holds by itself, so closure queues none and closes only the few pivots
+outside the seed (6 for the whole group, 2 for K).  The pairs it skips
+still owe a relation each to the pc presentation: they wait in the owed
+list, with the pairs of plainly adopted pivots, until ``relations`` is
+first asked for, and an owed pair that drops a pivot raises, since the
+chain's order has already been reported.  ``verify`` checks every pair.
+
+The pivots depend on how the chain was built, so what is printed
+(``group_to_text`` with the chain, ``PermGroup.strong_generators``) are
+the canonical strong generators of ``PivotChain.canonical_pivots``, which
+depend only on the group and the base.  Sifting uses the pivots as built.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -203,7 +220,8 @@ def _slot_tables(level):
 
 def slot_index(vlevel, value):
     """Chain slot of the left-child vertex (vlevel, value); independent of
-    the tree depth because slots are enumerated level-major."""
+    the tree depth because slots are enumerated level-major.  Takes ints
+    or numpy arrays."""
     return (1 << (vlevel - 1)) - 1 + (value >> 1)
 
 
@@ -213,7 +231,7 @@ class PivotChain:
     __slots__ = ("level", "degree", "nslots", "slot_leaf", "slot_shift",
                  "slot_value", "slot_level", "pivot_row", "npivots",
                  "_pivots", "_pinvs", "_supports", "_masks", "_queue",
-                 "_echelon", "_pending")
+                 "_echelon", "_owed", "_normal")
 
     def __init__(self, level):
         self.level = level
@@ -230,7 +248,8 @@ class PivotChain:
         self._masks = []
         self._queue = []
         self._echelon = {}
-        self._pending = []
+        self._owed = []
+        self._normal = set()
 
     @property
     def order(self):
@@ -257,16 +276,20 @@ class PivotChain:
         drop, _ = self.residue(images)
         return drop == self.nslots
 
-    def _grow(self):
-        cap = 2 * len(self._pivots)
+    def _reserve(self, count):
+        """Make room for ``count`` pivots, doubling the capacity."""
+        cap = len(self._pivots)
+        if count <= cap:
+            return
+        while cap < count:
+            cap *= 2
         for name in ("_pivots", "_pinvs"):
             new = np.empty((cap, self.degree), dtype=_DTYPE)
             new[:self.npivots] = getattr(self, name)[:self.npivots]
             setattr(self, name, new)
 
     def _install(self, slot, perm):
-        if self.npivots == len(self._pivots):
-            self._grow()
+        self._reserve(self.npivots + 1)
         row = self.npivots
         self._pivots[row] = perm
         inverse(perm, out=self._pinvs[row])
@@ -300,14 +323,24 @@ class PivotChain:
         return pairs
 
     def _add_pivot(self, slot, perm):
+        """Install a pivot and queue its Schreier pairs; a pair with a pivot
+        adopted as normal is owed to ``relations`` instead (see ``adopt``)."""
         self._install(slot, perm)
-        self._queue.extend(self._schreier_pairs(slot, self.pivot_slots()))
+        pairs = self._schreier_pairs(slot, self.pivot_slots())
+        if self._normal:
+            normal = self._normal
+            for pair in pairs:
+                owed = pair[0] in normal or pair[1] in normal
+                (self._owed if owed else self._queue).append(pair)
+        else:
+            self._queue.extend(pairs)
 
-    def _drain(self):
+    def _drain(self, owed=False):
         """Sift every queued Schreier pair from the slot after its first
         pivot, adding a pivot where one drops, and reduce its relation into
         the echelon basis: the rows applied, plus e_r for a conjugate, plus
-        the new pivot's row if the sift dropped."""
+        the new pivot's row if the sift dropped.  An ``owed`` pair must not
+        drop: the chain's order has been reported without it."""
         scratch = np.empty(self.degree, dtype=_DTYPE)
         applied = []
         while self._queue:
@@ -327,6 +360,12 @@ class PivotChain:
             for a in applied:
                 rel ^= 1 << a
             if drop < self.nslots:
+                if owed:
+                    self._queue.clear()
+                    raise AssertionError(
+                        f"owed Schreier pair ({s}, {r}) drops a pivot at "
+                        f"slot {drop}: an adopted family was not complete, "
+                        f"or one adopted as normal was not normal")
                 rel |= 1 << self.npivots
                 self._add_pivot(drop, g)
             f2_reduce(self._echelon, rel)
@@ -335,15 +374,19 @@ class PivotChain:
         """Echelon basis of the relations of the chain's pc presentation,
         abelianised mod 2: independent bitmasks over pivot rows, at most
         ``npivots`` of them, with distinct leading bits.  ``npivots -
-        len(relations())`` is the Frattini rank.  The pairs of adopted
-        pivots are sifted here, the first time this is asked for."""
-        if self._pending:
+        len(relations())`` is the Frattini rank.  The owed pairs (those of
+        adopted pivots, and those closure skipped as normal) are sifted
+        here, the first time this is asked for."""
+        if self._owed:
             by_row = sorted(self.pivot_slots(), key=self.pivot_row.__getitem__)
-            for slot in self._pending:
-                earlier = by_row[:self.pivot_row[slot]]
-                self._queue.extend(self._schreier_pairs(slot, earlier))
-            self._pending = []
-            self._drain()
+            for s, r in self._owed:
+                if r is None:
+                    earlier = by_row[:self.pivot_row[s]]
+                    self._queue.extend(self._schreier_pairs(s, earlier))
+                else:
+                    self._queue.append((s, r))
+            self._drain(owed=True)  # on a drop, the pairs stay owed
+            self._owed = []
         return list(self._echelon.values())
 
     def insert(self, images):
@@ -359,16 +402,29 @@ class PivotChain:
         self._drain()
         return True
 
-    def adopt(self, slot_perm_pairs):
+    def adopt(self, slot_perm_pairs, normal=False):
         """Install an already-complete pivot family (e.g. a chain suffix or a
         disjoint union of nested chains) without reprocessing closure.  The
-        new pivots are kept pending: ``relations`` sifts their Schreier
-        pairs."""
-        for slot, perm in sorted(slot_perm_pairs, key=lambda sp: sp[0]):
+        Schreier pairs of each new pivot with the pivots installed before
+        it are owed to ``relations``, entered as ``(slot, None)``.
+
+        With ``normal``, the family must be the complete chain of a subgroup
+        N that is normal in the group being built.  Then every Schreier
+        condition with a pivot of N in it holds by itself: for pivots x
+        before y, x^2 and x^-1 y x (if y is N's), or the factor [y, x] of
+        x^-1 y x = y [y, x] (if x is N's), lie in N and fix the slot
+        vertices up to x's, so they are products of N's pivots after x.
+        ``insert`` therefore queues no such pair but owes it to
+        ``relations``, which raises AssertionError if one drops a pivot."""
+        slot_perm_pairs = sorted(slot_perm_pairs, key=lambda sp: sp[0])
+        self._reserve(self.npivots + len(slot_perm_pairs))
+        for slot, perm in slot_perm_pairs:
             if self.pivot_row[slot] >= 0:
                 raise ValueError(f"slot {slot} already occupied")
-            self._install(slot, np.array(perm, dtype=_DTYPE))
-            self._pending.append(slot)
+            self._install(slot, np.asarray(perm, dtype=_DTYPE))
+            self._owed.append((slot, None))
+            if normal:
+                self._normal.add(slot)
 
     def verify(self):
         """Recheck every Schreier condition; raises if the chain is broken."""
@@ -384,12 +440,53 @@ class PivotChain:
                 if self._strip_inplace(g.copy(), s + 1) != self.nslots:
                     raise AssertionError(f"Schreier condition fails at slot {s}")
 
+    def canonical_pivots(self):
+        """The canonical strong generators, in slot order: c_s is the one
+        element of p_s U_{s+1} that maps every later pivot-slot vertex to a
+        left child, so it depends only on the group and the base.
+
+        Starting from c = p_s, each later pivot slot t, in ascending order,
+        where c(v_t) is a right child replaces c by c p_t (p_t acting
+        first), which turns c(v_t) into its sibling and keeps c on the slot
+        vertices before t.  On a level l, every p_t there swaps siblings
+        only, so this is the F2 reduction of ``strip``: c's right-child bits
+        on the level's slots, XOR-ed with the masks of the pivots chosen.
+        Two such elements c, c u (u != 1 in U_{s+1}) differ on the first
+        slot u moves, so c_s is unique."""
+        out = []
+        for s in self.pivot_slots():
+            c = self.pivot_perm(s).copy()
+            for l in range(int(self.slot_level[s]), self.level + 1):
+                lo = (1 << (l - 1)) - 1
+                start = max(lo, s + 1)
+                span = slice(start, 2 * lo + 1)
+                right = (c[self.slot_leaf[span]] >> self.slot_shift[span]) & 1
+                bits = int.from_bytes(
+                    np.packbits(right.astype(bool), bitorder="little")
+                    .tobytes(), "little") << (start - lo)
+                while bits:
+                    low = bits & -bits
+                    row = self.pivot_row[lo + low.bit_length() - 1]
+                    if row < 0:
+                        bits ^= low
+                        continue
+                    bits ^= self._masks[row]
+                    c = c[self._pivots[row]]
+            out.append(c)
+        return out
+
 
 class PermGroup:
     """Subgroup of the depth-``level`` tree automorphism group, given by
-    generators; the stabilizer chain is built lazily on first use."""
+    generators; the stabilizer chain is built lazily on first use.
 
-    def __init__(self, level, generators, _chain=None):
+    ``_seed``, if given, is called at that first use for the (slot, images)
+    pivots of a complete chain of a normal subgroup, which the chain adopts
+    as normal before inserting the generators (see ``PivotChain.adopt``).
+    The chain is assigned only once it is complete, so a concurrent first
+    use at worst builds it twice."""
+
+    def __init__(self, level, generators, _chain=None, _seed=None):
         self.level = level
         self.degree = 1 << level
         gens = []
@@ -401,17 +498,17 @@ class PermGroup:
                 gens.append(Permutation._wrap(np.array(a, dtype=_DTYPE)))
         self.generators = gens
         self._chain = _chain
-        self._lock = threading.Lock()
+        self._seed = _seed
 
     @property
     def chain(self):
         if self._chain is None:
-            with self._lock:
-                if self._chain is None:
-                    chain = PivotChain(self.level)
-                    for g in self.generators:
-                        chain.insert(g.images)
-                    self._chain = chain
+            chain = PivotChain(self.level)
+            if self._seed is not None:
+                chain.adopt(self._seed(), normal=True)
+            for g in self.generators:
+                chain.insert(g.images)
+            self._chain = chain
         return self._chain
 
     @property
@@ -456,9 +553,9 @@ class PermGroup:
         return set(self.transversal(self.level, point))
 
     def strong_generators(self):
-        chain = self.chain
-        return [Permutation._wrap(np.array(chain.pivot_perm(s)))
-                for s in chain.pivot_slots()]
+        """The canonical strong generators, in slot order
+        (``PivotChain.canonical_pivots``)."""
+        return [Permutation._wrap(c) for c in self.chain.canonical_pivots()]
 
     def __repr__(self):
         built = self._chain is not None
@@ -523,19 +620,41 @@ def image_at_level(g, n):
 
 
 _QUOTIENT_CACHE = {}
-_QUOTIENT_LOCK = threading.Lock()
 
 
 def level_quotient(n):
-    """The image of the whole group on level n (generated by a, b, c, d)."""
+    """The image of the whole group on level n (generated by a, b, c, d),
+    built by branch recursion (``branch_image``)."""
     require_level(n)
-    with _QUOTIENT_LOCK:
-        q = _QUOTIENT_CACHE.get(n)
-        if q is None:
-            gens = [image_at_level(elements.Word(ch), n) for ch in "abcd"]
-            q = PermGroup(n, gens)
-            _QUOTIENT_CACHE[n] = q
+    q = _QUOTIENT_CACHE.get(n)
+    if q is None:
+        q = _QUOTIENT_CACHE.setdefault(
+            n, branch_image([elements.Word(ch) for ch in "abcd"], n))
     return q
+
+
+def branch_image(words, level):
+    """Level image of the subgroup generated by ``words``, which must
+    contain K_1 = psi^-1(K x K) as a normal subgroup, as the whole group
+    and K do (K = <t, u, v> is normal of index 16 and psi(K) contains
+    K x K; de la Harpe, Topics in Geometric Group Theory, ch. VIII).
+
+    The level image of K_1 is the direct product of two nested copies of
+    the level-(level - 1) image of K, which is built the same way, down to
+    level 1, where K acts trivially.  The chain, built on first use,
+    adopts those copies as normal and then inserts the words' images, so
+    closure handles only the few pivots outside K_1.  Nothing is cached:
+    each build rebuilds the K images below it."""
+    gens = [image_at_level(w, level) for w in words]
+    seed = None if level == 1 else (lambda: _k1_pairs(level))
+    return PermGroup(level, gens, _seed=seed)
+
+
+def _k1_pairs(level):
+    """The pivots of the level image of K_1: two nested copies of the chain
+    of K's level-(level - 1) image."""
+    from grig import catalog  # catalog imports this module
+    return _nested_pairs(catalog.k_image(level - 1).chain, 1, level)
 
 
 def membership_and_containment(a, x):
@@ -647,24 +766,28 @@ def nested_copies_group(sub, n, level):
     """
     if sub.level + n != level:
         raise DegreeMismatch("sub level plus nesting depth must match")
-    sub_chain = sub.chain
-    pairs = []
-    gens = []
-    for w in range(1 << n):
-        vertex = format(w, f"0{n}b") if n else ""
-        for s in sub_chain.pivot_slots():
-            vlevel = int(sub_chain.slot_level[s])
-            value = int(sub_chain.slot_value[s])
-            gslot = slot_index(n + vlevel, (w << vlevel) + value)
-            nested = nest_at_vertex(
-                Permutation._wrap(np.array(sub_chain.pivot_perm(s))),
-                vertex, level)
-            pairs.append((gslot, nested.images))
-        for g in sub.generators:
-            gens.append(nest_at_vertex(g, vertex, level))
+    gens = [nest_at_vertex(g, format(w, f"0{n}b") if n else "", level)
+            for w in range(1 << n) for g in sub.generators]
     chain = PivotChain(level)
-    chain.adopt(pairs)
+    chain.adopt(_nested_pairs(sub.chain, n, level))
     return PermGroup(level, gens, _chain=chain)
+
+
+def _nested_pairs(sub_chain, n, level):
+    """(slot, images) of a copy of every pivot of ``sub_chain`` below every
+    level-n vertex, at the given level."""
+    slots = sub_chain.pivot_slots()
+    vlevels = sub_chain.slot_level[slots]
+    values = sub_chain.slot_value[slots]
+    block = sub_chain._pivots[sub_chain.pivot_row[slots]]
+    size = sub_chain.degree
+    pairs = []
+    for w in range(1 << n):
+        nested = np.tile(np.arange(1 << level, dtype=_DTYPE), (len(slots), 1))
+        nested[:, w * size:(w + 1) * size] = block + w * size
+        gslots = slot_index(n + vlevels, (w << vlevels) + values)
+        pairs.extend(zip(gslots.tolist(), nested))
+    return pairs
 
 
 # --- brute-force oracle ------------------------------------------------------
@@ -700,8 +823,9 @@ def enumerate_elements(group, guard=BFS_GUARD):
 # --- plain-text serialization ------------------------------------------------
 
 def group_to_text(group, include_chain=False):
-    """Serialize as generator lines, optionally with base and strong
-    generators; deterministic for identical inputs."""
+    """Serialize as generator lines, optionally with the base and the
+    canonical strong generators, which depend only on the group and the
+    base, not on how its chain was built."""
     lines = [f"level {group.level}", f"generators {len(group.generators)}"]
     lines.extend(g.to_line() for g in group.generators)
     if include_chain:
@@ -711,8 +835,7 @@ def group_to_text(group, include_chain=False):
             f"{chain.slot_level[s]}:{chain.slot_value[s]}" for s in slots)
         lines.append(f"base {base}")
         lines.append(f"strong {len(slots)}")
-        lines.extend(
-            " ".join(map(str, chain.pivot_perm(s))) for s in slots)
+        lines.extend(" ".join(map(str, c)) for c in chain.canonical_pivots())
     return "\n".join(lines) + "\n"
 
 

@@ -193,7 +193,8 @@ def rank_gradient_table(chain="P", n_max=8, level_budget=None):
     uncertified; each is probed STABILIZER_RANK_DEPTH levels down or at the
     level budget, if shallower.  These image ranks settle only from level
     n + 2 on (st(9) reads 320 at level 10 and 576 from level 11), so the
-    rows stop at the first n whose probe level is below n + 2.
+    rows stop at the first n whose probe level is below n + 2, and a
+    budget below 3, too shallow even for st(1), raises ValueError.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -217,6 +218,9 @@ def rank_gradient_table(chain="P", n_max=8, level_budget=None):
             q = permgroup.level_quotient(probe_level)
             d = frattini_rank(permgroup.level_stabilizer_image(q, n))
             rows.append(_row(n, d, index_of("st", n), False))
+        if not rows:
+            raise ValueError(f"level budget {top} is too shallow for the st "
+                             f"chain: st(1) needs level 3")
         return rows
     raise ValueError(f"unknown chain {chain!r}")
 

@@ -11,7 +11,8 @@ import pytest
 
 from grig._kernel import compose, inverse
 from grig.elements import Word
-from grig.pgroup import Lcg
+from grig.permgroup import PermGroup, group_to_text
+from grig.pgroup import Lcg, frattini_rank
 from grig.rigidity import rank_gradient_table
 
 # one recursion rule per letter: letter applied to first bit gives the image
@@ -83,6 +84,18 @@ def brute_frattini_rank(group):
     phi = bfs_elements(list(seeds.values()), group.degree)
     quotient = len(elems) // len(phi)
     return quotient.bit_length() - 1
+
+
+def assert_matches_schreier_build(group):
+    """A branch-built group against a fresh Schreier-built group from the
+    same generators: the same pivot slots, canonical chain text and
+    Frattini rank, and the branch-built chain passes ``verify``."""
+    fresh = PermGroup(group.level, group.generators)
+    assert group.chain.pivot_slots() == fresh.chain.pivot_slots()
+    assert group_to_text(group, include_chain=True) == \
+        group_to_text(fresh, include_chain=True)
+    assert frattini_rank(group) == frattini_rank(fresh)
+    group.chain.verify()
 
 
 @pytest.fixture

@@ -8,6 +8,8 @@ from grig import permgroup as P
 from grig.config import max_level
 from grig.elements import equal_elements, is_identity, mul, invert, section_at
 
+from conftest import assert_matches_schreier_build
+
 
 def test_base_elements_are_the_squared_words():
     assert C.T.letters == "abab"
@@ -60,6 +62,11 @@ def test_member_of_K():
         for m in range(1, 5):
             assert C.member_of_K(C.family_element(fam, m))
     assert C.member_of_K(C.pair_uu())
+
+
+def test_branch_built_k_images_match_schreier_built():
+    for level in range(1, 10):
+        assert_matches_schreier_build(C.k_image(level))
 
 
 def test_k_generated_equals_k_closure():

@@ -238,6 +238,17 @@ def test_portrait_depth_guard_exit_2():
     assert "depth 22" in res.stderr
 
 
+def test_st_table_budget_too_shallow_exit_2(capsys):
+    # st(1) is first probed at level 3, so a smaller budget leaves no row
+    for budget in ("1", "2"):
+        assert main(["rg-table", "--chain", "st", "--max", "4",
+                     "--budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"level budget {budget} is too shallow" in captured.err
+        assert "st(1) needs level 3" in captured.err
+
+
 FUZZ_ALPHABET = "abcdtuvx0129!*^() "
 FUZZ_NAMES = ["a", "b", "c", "d", "abab", "t", "u", "v", "uu", "x1", "v2",
               "u0", "1"]
@@ -315,8 +326,7 @@ def test_cli_exit_codes_fuzz(capsys):
     assert 0 in codes[7:] and 2 in codes[7:]
 
 
-# Literal outputs, so that any change to them shows as a failing diff.  No
-# ``quotient --chain`` table is pinned: its pivots are not canonical yet.
+# Literal outputs, so that any change to them shows as a failing diff.
 PINNED_COMMANDS = [
     (["rg-table", "--chain", "st", "--max", "6"],
      "n,d,index,rg_num,rg_den,log2_d,loglog2_index,ratio,certified\n"
@@ -362,6 +372,27 @@ PINNED_COMMANDS = [
      "| 4 | 3 | 1 | 2 | 1 | 1.58496250072 |  |  | False |\n"),
     (["verify", "conjugation"],
      '{"checks": 131, "pass": true, "suite": "conjugation"}\n'),
+    (["quotient", "--level", "4", "--table", "--chain"],
+     "level 4\n"
+     "generators 4\n"
+     "8 9 10 11 12 13 14 15 0 1 2 3 4 5 6 7\n"
+     "4 5 6 7 0 1 2 3 10 11 8 9 12 13 14 15\n"
+     "4 5 6 7 0 1 2 3 8 9 10 11 13 12 14 15\n"
+     "0 1 2 3 4 5 6 7 10 11 8 9 13 12 14 15\n"
+     "base 1:0 2:0 2:2 3:0 3:2 3:4 3:6 4:0 4:2 4:4 4:8 4:12\n"
+     "strong 12\n"
+     "8 9 10 11 12 13 14 15 0 1 2 3 4 5 6 7\n"
+     "4 5 6 7 0 1 2 3 8 9 10 11 12 13 15 14\n"
+     "0 1 2 3 4 5 7 6 12 13 14 15 8 9 10 11\n"
+     "2 3 0 1 4 5 7 6 8 9 10 11 12 13 14 15\n"
+     "0 1 2 3 6 7 5 4 8 9 11 10 12 13 15 14\n"
+     "0 1 2 3 4 5 6 7 10 11 8 9 12 13 15 14\n"
+     "0 1 2 3 4 5 6 7 8 9 11 10 14 15 12 13\n"
+     "1 0 2 3 4 5 7 6 8 9 11 10 12 13 15 14\n"
+     "0 1 3 2 4 5 7 6 8 9 11 10 12 13 15 14\n"
+     "0 1 2 3 5 4 7 6 8 9 10 11 12 13 14 15\n"
+     "0 1 2 3 4 5 6 7 9 8 11 10 12 13 14 15\n"
+     "0 1 2 3 4 5 6 7 8 9 10 11 13 12 15 14\n"),
 ]
 
 PINNED_CSV = (

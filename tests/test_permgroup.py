@@ -17,7 +17,7 @@ from grig.permgroup import (DegreeMismatch, Permutation, PermGroup,
                             level_stabilizer_image, nest_at_vertex,
                             normal_closure, subgroup)
 
-from conftest import bfs_elements, random_word
+from conftest import assert_matches_schreier_build, bfs_elements, random_word
 
 
 def test_letter_images_level1():
@@ -335,3 +335,75 @@ def test_insert_after_adopt():
     assert st1.chain.insert(a.images)
     assert st1.order == fresh.order
     st1.chain.verify()
+
+
+def test_branch_built_quotients_match_schreier_built():
+    for n in range(1, 10):
+        q = level_quotient(n)
+        # the adopted K_{n-1} x K_{n-1}, trivial below level 3
+        assert bool(q.chain._normal) == (n >= 3)
+        assert_matches_schreier_build(q)
+
+
+def _canonical_cases():
+    q6 = level_quotient(6)
+    return [q6, C.k_image(6), level_stabilizer_image(q6, 2),
+            C.subgroup_image("P", 3, 6), G.random_subgroup(q6, 2, 77)]
+
+
+def test_canonical_pivots_are_the_reduced_coset_elements():
+    # c_s lies in p_s U_{s+1} and maps every later pivot-slot vertex to a
+    # left child
+    from grig._kernel import compose
+    for h in _canonical_cases():
+        chain = h.chain
+        slots = chain.pivot_slots()
+        canon = chain.canonical_pivots()
+        assert len(canon) == len(slots)
+        for i, (s, c) in enumerate(zip(slots, canon)):
+            rest = compose(chain._pinvs[chain.pivot_row[s]], c)
+            assert chain.residue(rest, start=s + 1)[0] == chain.nslots
+            later = np.array(slots[i + 1:], dtype=np.int64)
+            images = c[chain.slot_leaf[later]] >> chain.slot_shift[later]
+            assert not (images & 1).any()
+        assert [g.images.tolist() for g in h.strong_generators()] == \
+            [c.tolist() for c in canon]
+
+
+def test_canonical_text_ignores_the_generating_set():
+    # permuted or redundant generators give another chain but the same
+    # base and canonical strong generators
+    def chain_text(group):
+        text = P.group_to_text(group, include_chain=True)
+        return text[text.index("base "):]
+
+    for h in _canonical_cases():
+        gens = h.generators
+        extra = gens[0] * gens[-1]
+        variants = [gens[::-1], gens + [extra, gens[0]],
+                    [extra] + gens[1:] + gens[:1]]
+        texts = {chain_text(PermGroup(h.level, v)) for v in variants}
+        assert texts == {chain_text(h)}
+
+
+def test_non_normal_seed_raises_when_the_owed_pairs_are_sifted():
+    # <b> is not normal in the level-2 quotient: adopted as normal, its
+    # pairs with a are skipped, the chain stops at order 4 instead of 8,
+    # and sifting the owed pair (a, b) drops a pivot
+    a, b = (image_at_level(E.Word(ch), 2) for ch in "ab")
+    h = subgroup(2, [b])
+    seed = [(s, h.chain.pivot_perm(s)) for s in h.chain.pivot_slots()]
+    chain = P.PivotChain(2)
+    chain.adopt(seed, normal=True)
+    chain.insert(a.images)
+    assert chain.order == 4 < level_quotient(2).order
+    for _ in range(2):  # no partial basis is returned on a second ask
+        with pytest.raises(AssertionError, match="not normal"):
+            chain.relations()
+    # adopted without the marker, the pair is closed at once
+    plain = P.PivotChain(2)
+    plain.adopt(seed)
+    plain.insert(a.images)
+    assert plain.order == 8
+    plain.relations()
+    plain.verify()

@@ -255,9 +255,9 @@ def test_frattini_rank_matches_normal_closure_on_adopted_chains():
     groups = [level_stabilizer_image(q6, k) for k in range(1, 6)]
     groups += [C.kn_image(n, 6) for n in (1, 2, 3)]
     for h in groups:
-        assert h.chain._pending or h.order == 1
+        assert h.chain._owed or h.order == 1
         assert G.frattini_rank(h) == frattini_oracle(h)
-        assert not h.chain._pending
+        assert not h.chain._owed
         assert len(h.chain.relations()) <= h.chain.npivots
 
 
@@ -273,7 +273,7 @@ def test_frattini_rank_after_adopt_and_insert():
         st1 = level_stabilizer_image(p2, 1)
         if ask_first:
             assert G.frattini_rank(st1) == d_st1
-        assert bool(st1.chain._pending) is not ask_first
+        assert bool(st1.chain._owed) is not ask_first
         assert st1.chain.insert(a.images)
         extended = PermGroup(level, st1.generators + [a], _chain=st1.chain)
         assert G.frattini_rank(extended) == frattini_oracle(
