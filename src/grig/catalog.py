@@ -28,12 +28,10 @@ from dataclasses import dataclass, field
 
 from grig import permgroup
 from grig.config import max_level
-from grig.elements import (IDENTITY, Pair, Word, conjugate, commutator,
-                           invert, is_identity, mul)
+from grig.elements import (IDENTITY, K_GENERATORS, Pair, Word, conjugate,
+                           commutator, invert, is_identity, mul)
 
-T = Word("abab")
-U = Word("badabada")
-V = Word("abadabad")
+T, U, V = K_GENERATORS
 X0 = Word("acacacac")
 DDA = Word("dada")  # d * d^a
 
@@ -351,7 +349,7 @@ def verify_generator_redundancies():
 def k_image(level):
     """Image of K = <t, u, v> in the level quotient, built by branch
     recursion on the K image at level - 1 (``permgroup.branch_image``)."""
-    return permgroup.branch_image((T, U, V), level)
+    return permgroup.branch_image(K_GENERATORS, level)
 
 
 def kn_image(n, level):
@@ -384,8 +382,9 @@ def verify_branching(level):
     report = VerificationReport("branching")
     q = permgroup.level_quotient(level)
 
-    k_here = k_image(level)
-    k_below = k_image(level - 1)
+    # by Schreier closure: the branch-built k_image adopts K x K as its
+    # seed, so every pair checked here would lie in it by construction
+    k_here = subgroup_image("K", None, level)
     ok = True
     identity = permgroup.Permutation.identity(1 << (level - 1))
     for g in (T, U, V):

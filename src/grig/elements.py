@@ -385,6 +385,10 @@ class Product(Element):
 
 IDENTITY = Word("")
 
+# t = (ab)^2, u = (bada)^2 = (t, 1) and v = (abad)^2 = (1, t), which generate
+# K, the normal closure of t (named in grig.catalog as T, U, V)
+K_GENERATORS = (Word("abab"), Word("badabada"), Word("abadabad"))
+
 
 def mul(*elements):
     """Product of elements (rightmost acts first)."""

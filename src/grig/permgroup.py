@@ -646,15 +646,9 @@ def branch_image(words, level):
     closure handles only the few pivots outside K_1.  Nothing is cached:
     each build rebuilds the K images below it."""
     gens = [image_at_level(w, level) for w in words]
-    seed = None if level == 1 else (lambda: _k1_pairs(level))
+    seed = None if level == 1 else (lambda: _nested_pairs(
+        branch_image(elements.K_GENERATORS, level - 1).chain, 1, level))
     return PermGroup(level, gens, _seed=seed)
-
-
-def _k1_pairs(level):
-    """The pivots of the level image of K_1: two nested copies of the chain
-    of K's level-(level - 1) image."""
-    from grig import catalog  # catalog imports this module
-    return _nested_pairs(catalog.k_image(level - 1).chain, 1, level)
 
 
 def membership_and_containment(a, x):

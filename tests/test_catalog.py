@@ -176,6 +176,22 @@ def test_branching_level4_and_5():
         C.verify_branching(3)
 
 
+def test_branching_sifts_into_no_normally_seeded_chain(monkeypatch):
+    # a branch-built K image adopts K x K as its seed, so sifting the pairs
+    # (k, 1) and (1, k) into it would pass whatever psi(K) contains
+    sifted_into = []
+    contains = P.PermGroup.contains
+
+    def spy(group, perm):
+        sifted_into.append(group)
+        return contains(group, perm)
+
+    monkeypatch.setattr(P.PermGroup, "contains", spy)
+    assert C.verify_branching(4).all_pass
+    assert sifted_into
+    assert not any(g.chain._normal for g in sifted_into)
+
+
 def test_kn_image_is_direct_product_of_k_images():
     for n, level in ((1, 4), (2, 5)):
         direct = C.kn_image(n, level)
